@@ -3,15 +3,17 @@
 
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_bench::{ring_program, ring_traces};
-use extrap_core::{extrapolate, machine, CompiledProgram, RecordMode, SimScratch};
-use extrap_sim::{SchedulerKind, SplitMix64};
+use extrap_core::{
+    extrapolate, machine, CompiledProgram, Extrapolator, RecordMode, RunInput, SimScratch,
+};
+use extrap_sim::SplitMix64;
 use extrap_time::{DurationNs, TimeNs};
 use std::hint::black_box;
 
 /// Schedules every timestamp in `times`, then drains the queue; the raw
-/// event-queue hot loop for one backend.
-fn drain(kind: SchedulerKind, times: &[u64]) -> u64 {
-    let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::with_scheduler(kind);
+/// event-queue hot loop.
+fn drain(times: &[u64]) -> u64 {
+    let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::new();
     for (i, &t) in times.iter().enumerate() {
         eng.schedule(TimeNs(t), i as u64);
     }
@@ -24,8 +26,8 @@ fn drain(kind: SchedulerKind, times: &[u64]) -> u64 {
 
 /// Like [`drain`], but cancels every other event before draining — the
 /// slab queue's O(1) cancel and lazy tombstone purge under churn.
-fn drain_with_cancel(kind: SchedulerKind, times: &[u64]) -> u64 {
-    let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::with_scheduler(kind);
+fn drain_with_cancel(times: &[u64]) -> u64 {
+    let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::new();
     let mut tokens = Vec::with_capacity(times.len() / 2);
     for (i, &t) in times.iter().enumerate() {
         let tok = eng.schedule(TimeNs(t), i as u64);
@@ -95,31 +97,28 @@ fn main() {
     {
         let ts = ring_traces(32, 32, 20.0, 1_024);
         let program = CompiledProgram::compile(&ts).unwrap();
-        let mut params = machine::default_distributed();
-        params.record_mode = RecordMode::MetricsOnly;
+        let session =
+            Extrapolator::new(machine::default_distributed()).record_mode(RecordMode::MetricsOnly);
         let events = extrapolate(&ts, &machine::default_distributed())
             .unwrap()
             .events_dispatched;
         let mut scratch = SimScratch::default();
-        h.bench_throughput(
-            "run_compiled_scratch_ring_32t",
-            Throughput::Elements(events),
-            || {
-                black_box(
-                    extrap_core::run_compiled_scratch(&program, &params, &mut scratch)
-                        .unwrap()
-                        .exec_time(),
-                )
-            },
-        );
+        h.bench_throughput("run_scratch_ring_32t", Throughput::Elements(events), || {
+            black_box(
+                session
+                    .run(RunInput::CompiledScratch {
+                        program: &program,
+                        scratch: &mut scratch,
+                    })
+                    .unwrap()
+                    .exec_time(),
+            )
+        });
     }
 
-    // The raw event queue under both backends, over three timestamp
-    // shapes.  Uniform is the calendar queue's home turf; skewed
-    // (almost everything near-term, a sparse far-future tail) and
-    // clustered (tight equal-time bursts separated by long gaps) are
-    // its classic worst cases, kept honest by resize-on-skew and the
-    // direct-search fallback.
+    // The raw event queue over three timestamp shapes: uniform, skewed
+    // (almost everything near-term, a sparse far-future tail), and
+    // clustered (tight equal-time bursts separated by long gaps).
     let uniform: Vec<u64> = (0..10_000u64).map(|i| i % 977).collect();
     let skewed: Vec<u64> = {
         let mut rng = SplitMix64::new(0x5eed_cafe);
@@ -135,23 +134,14 @@ fn main() {
     };
     let clustered: Vec<u64> = (0..10_000u64).map(|i| (i / 100) * 1_000_000).collect();
 
-    for (suffix, kind) in [
-        ("heap", SchedulerKind::Heap),
-        ("calendar", SchedulerKind::Calendar),
-    ] {
-        h.bench(&format!("event_queue_10k_{suffix}"), || {
-            black_box(drain(kind, &uniform))
-        });
-        h.bench(&format!("event_queue_cancel_10k_{suffix}"), || {
-            black_box(drain_with_cancel(kind, &uniform))
-        });
-        h.bench(&format!("event_queue_skewed_10k_{suffix}"), || {
-            black_box(drain(kind, &skewed))
-        });
-        h.bench(&format!("event_queue_clustered_10k_{suffix}"), || {
-            black_box(drain(kind, &clustered))
-        });
-    }
+    h.bench("event_queue_10k_heap", || black_box(drain(&uniform)));
+    h.bench("event_queue_cancel_10k_heap", || {
+        black_box(drain_with_cancel(&uniform))
+    });
+    h.bench("event_queue_skewed_10k_heap", || black_box(drain(&skewed)));
+    h.bench("event_queue_clustered_10k_heap", || {
+        black_box(drain(&clustered))
+    });
 
     h.finish();
 }

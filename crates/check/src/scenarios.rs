@@ -151,7 +151,9 @@ fn cancel_mid_sweep(h: &Handle) {
         let cancel = cancel.clone();
         h.spawn(move || {
             let cache: SharedTraceCache<(&'static str, usize)> = SharedTraceCache::new();
-            let results = sweep_cancellable(&jobs, 1, &cache, |&(_, n)| tiny_set(n), &cancel);
+            let results = sweep_cancellable(&jobs, 1, &cancel, |key: &(&str, usize)| {
+                cache.get_or_translate(*key, || tiny_set(key.1))
+            });
             assert_eq!(results.len(), 2, "every job reports an outcome");
             for r in &results {
                 match r {
@@ -318,7 +320,7 @@ fn sanitizer_race(h: &Handle) {
     );
     let prediction = Arc::new(
         Extrapolator::new(params.clone())
-            .run_compiled(cached.program())
+            .run(cached.program())
             .expect("tiny program simulates"),
     );
     let params = Arc::new(params);

@@ -6,7 +6,7 @@
 //! extrap translate trace.xtrp -o traces.xtps [--event-overhead US] [--switch-overhead US] \
 //!                  [--stream [--mem-budget BYTES]]     # out-of-core spill/merge translate
 //! extrap simulate  traces.xtps [--machine M | --params FILE] [--set KEY=VALUE]... \
-//!                  [--scheduler heap|calendar|auto] [--check-bounds] [--predicted OUT] [--stream]
+//!                  [--check-bounds] [--predicted OUT] [--stream]
 //! extrap analyze   FILE|BENCH [--threads N] [--procs LIST] [--format text|json|csv]
 //! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds] \
 //!                  [--stream [--mem-budget BYTES]]     # bounded-resident grid sweep
@@ -26,9 +26,7 @@ mod args;
 mod remote;
 
 use args::ArgSpec;
-use extrap_core::{
-    machine, Extrapolator, SchedulerKind, SharedTraceCache, SimParams, SimStrategy, SweepGrid,
-};
+use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
 use extrap_time::{DurationNs, TimeNs};
 use extrap_trace::{TraceRecord, TraceStats, TranslateOptions, TranslateSink};
 use extrap_workloads::{Bench, Scale};
@@ -77,15 +75,14 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  extrap translate FILE -o FILE [--event-overhead US] [--switch-overhead US] \
                  [--stream [--mem-budget BYTES]]\n  \
                  extrap simulate FILE [--machine distributed|shared|ideal|cm5] [--params FILE] \
-                 [--set KEY=VALUE]... [--scheduler heap|calendar|auto] \
-                 [--strategy exact|repr[:K[:TOL]]] [--check-bounds] [--predicted FILE] \
-                 [--stream]\n  \
+                 [--set KEY=VALUE]... [--strategy exact|repr[:K[:TOL]]] [--check-bounds] \
+                 [--predicted FILE] [--stream]\n  \
                  extrap analyze FILE|BENCH [--threads N] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--format text|json|csv] [--machine M] [--params FILE] [--set KEY=VALUE]...\n  \
                  extrap sweep <bench>[,<bench>...] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--machine M] [--params FILE] [--set KEY=VALUE]... \
-                 [--scheduler heap|calendar|auto] [--strategy exact|repr[:K[:TOL]]] \
-                 [--jobs N] [--csv] [--check-bounds] [--stream [--mem-budget BYTES]]\n  \
+                 [--strategy exact|repr[:K[:TOL]]] [--jobs N] [--csv] [--check-bounds] \
+                 [--stream [--mem-budget BYTES]]\n  \
                  extrap serve [--addr HOST:PORT] [--workers N] [--sweep-workers N] \
                  [--mem-budget-mb N] [--max-inflight N] [--max-conn-inflight N] \
                  [--max-connections N] [--timeout-ms N] [--batch-window-ms N] \
@@ -231,7 +228,7 @@ fn cmd_translate(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Takes the `--params`/`--machine`/`--set`/`--scheduler` family off a
+/// Takes the `--params`/`--machine`/`--set`/`--strategy` family off a
 /// spec — the parameter-loading protocol every simulating subcommand
 /// (local or remote) shares.
 fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
@@ -250,11 +247,6 @@ fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
         let mut text = params.to_config_text();
         text.push_str(&format!("{} = {}\n", key.trim(), value.trim()));
         params = SimParams::from_config_text(&text)?;
-    }
-    if let Some(kind) =
-        spec.enumerated("--scheduler", "heap, calendar, auto", SchedulerKind::parse)?
-    {
-        params.scheduler = kind;
     }
     if let Some(strategy) = spec.enumerated("--strategy", SimStrategy::VALID, SimStrategy::parse)? {
         params.strategy = strategy;
@@ -537,16 +529,19 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
         // the fused translate→compile stream (no `ProgramTrace`, no
         // `TraceSet`), and the cache is swept down to `--mem-budget`
         // before each build so resident compiled programs stay bounded.
-        extrap_core::sweep_streaming(&grid, req.jobs, &cache, |(name, n)| {
-            cache.evict_to_budget(mem_budget);
-            let bench = resolve_bench(name).expect("benchmark validated above");
-            let bytes = extrap_trace::format::encode_program(&bench.trace(*n, req.scale));
-            let mut stream = extrap_trace::stream::ProgramStream::new(
-                extrap_trace::stream::SliceSource(&bytes),
-            )?;
-            let (program, _stats) =
-                extrap_core::compile_program_stream(&mut stream, Default::default())?;
-            Ok(program)
+        let cancel = extrap_core::CancelToken::new();
+        extrap_core::sweep_cancellable(&grid, req.jobs, &cancel, |key| {
+            cache.compile_streaming(key.clone(), || {
+                cache.evict_to_budget(mem_budget);
+                let bench = resolve_bench(&key.0).expect("benchmark validated above");
+                let bytes = extrap_trace::format::encode_program(&bench.trace(key.1, req.scale));
+                let mut stream = extrap_trace::stream::ProgramStream::new(
+                    extrap_trace::stream::SliceSource(&bytes),
+                )?;
+                let (program, _stats) =
+                    extrap_core::compile_program_stream(&mut stream, Default::default())?;
+                Ok(program)
+            })
         })
     } else {
         extrap_core::sweep(&grid, req.jobs, &cache, |(name, n)| {

@@ -37,12 +37,15 @@ use crate::network::state::NetModel;
 use crate::network::NetworkState;
 use crate::params::{RecordMode, ServicePolicy, SimParams, SimStrategy, SizeMode};
 use crate::processor::{CompiledProgram, Op};
+use crate::repr::ReprPlan;
+use crate::sweep::CachedTrace;
 use extrap_sim::Engine as EventQueue;
 use extrap_time::{BarrierId, DurationNs, ProcId, ThreadId, TimeNs};
 use extrap_trace::{EventKind, ThreadTrace, TraceError, TraceRecord, TraceSet};
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem;
+use std::sync::Arc;
 
 /// Errors from the extrapolation pipeline.
 #[derive(Debug)]
@@ -162,9 +165,11 @@ struct Pr {
 /// per-thread/per-processor bookkeeping vectors.
 ///
 /// A fresh `SimScratch` is just empty buffers; passing the same one to
-/// [`run_compiled_scratch`] for every job of a sweep lets steady-state
-/// jobs reuse all of them.  The sweep engine keeps one per worker
-/// thread.  Contents are opaque — the engine resets everything it reads.
+/// [`Extrapolator::run`](crate::Extrapolator::run) (as
+/// [`RunInput::CompiledScratch`](crate::RunInput::CompiledScratch)) for
+/// every job of a sweep lets steady-state jobs reuse all of them.  The
+/// sweep engine keeps one per worker thread.  Contents are opaque — the
+/// engine resets everything it reads.
 #[derive(Default)]
 pub struct SimScratch {
     queue: EventQueue<Ev>,
@@ -173,21 +178,49 @@ pub struct SimScratch {
     msgs: Vec<Msg>,
 }
 
-/// Runs the extrapolation of `traces` on the machine described by
-/// `params`, using the paper's analytic network contention model.
+/// The one simulation dispatch every prediction goes through — the
+/// session API and the sweep engine alike.
 ///
-/// Convenience wrapper over [`CompiledProgram::compile`] +
-/// [`run_compiled`]; sweeps should compile once and call
-/// [`run_compiled_scratch`] per parameter set instead.
-pub fn run(traces: &TraceSet, params: &SimParams) -> Result<Prediction, ExtrapError> {
+/// Validates `params`, resolves the strategy, simulates, and hands the
+/// *final* result (the representative composition rather than its
+/// internal mini-runs) to the bounds [`sanitizer`](crate::sanitizer).
+/// Under [`SimStrategy::Representative`] the program's repeating
+/// barrier epochs are clustered and one representative per cluster is
+/// simulated ([`ReprPlan`]); `memo`, when given, is the cache entry
+/// holding `program`, and its memoized plan replaces re-clustering.
+/// With no exploitable repetition the run falls back to the exact path
+/// — literally the same code the exact strategy runs, so fallback
+/// output is byte-identical by construction.
+pub(crate) fn simulate(
+    program: &CompiledProgram,
+    params: &SimParams,
+    scratch: &mut SimScratch,
+    memo: Option<&CachedTrace>,
+) -> Result<Prediction, ExtrapError> {
     params.validate().map_err(ExtrapError::Params)?;
-    let program = CompiledProgram::compile(traces)?;
-    run_compiled(&program, params)
+    let plan = match params.strategy {
+        SimStrategy::Exact => None,
+        SimStrategy::Representative {
+            max_clusters,
+            tolerance,
+        } => match memo {
+            Some(cached) => cached.repr_plan(max_clusters, tolerance),
+            None => ReprPlan::from_program(program, max_clusters, tolerance).map(Arc::new),
+        },
+    };
+    let prediction = match plan {
+        Some(plan) => plan.run(params, scratch)?,
+        None => exact_compiled_scratch(program, params, scratch)?,
+    };
+    crate::sanitizer::check(program, params, &prediction);
+    Ok(prediction)
 }
 
 /// Runs the extrapolation with a caller-supplied network model (used by
 /// `extrap-refsim` to substitute link-level contention simulation — the
-/// model swap §3.3.2 anticipates).
+/// model swap §3.3.2 anticipates).  Always simulates exactly: a
+/// link-level network model carries state across epochs, which
+/// representative composition cannot honor.
 pub fn run_with_network<N: NetModel>(
     traces: &TraceSet,
     params: &SimParams,
@@ -195,63 +228,12 @@ pub fn run_with_network<N: NetModel>(
 ) -> Result<Prediction, ExtrapError> {
     params.validate().map_err(ExtrapError::Params)?;
     let program = CompiledProgram::compile(traces)?;
-    run_compiled_with_network(&program, params, net, &mut SimScratch::default())
+    run_on_network(&program, params, net, &mut SimScratch::default())
 }
 
-/// Runs the extrapolation of an already-compiled program.
-pub fn run_compiled(
-    program: &CompiledProgram,
-    params: &SimParams,
-) -> Result<Prediction, ExtrapError> {
-    run_compiled_scratch(program, params, &mut SimScratch::default())
-}
-
-/// Runs the extrapolation of a compiled program, reusing the caller's
-/// scratch buffers (the zero-allocation sweep hot path).
-///
-/// This is the strategy dispatch point: under
-/// [`SimStrategy::Representative`] the program's repeating barrier
-/// epochs are clustered and one representative per cluster is simulated
-/// ([`ReprPlan`](crate::repr::ReprPlan)), falling back to the exact path
-/// when the trace has no exploitable repetition.  The refsim entry point
-/// [`run_with_network`] always simulates exactly — a caller-supplied
-/// link-level network model carries state across epochs, which weighted
-/// composition cannot honor.
-pub fn run_compiled_scratch(
-    program: &CompiledProgram,
-    params: &SimParams,
-    scratch: &mut SimScratch,
-) -> Result<Prediction, ExtrapError> {
-    let prediction = dispatch_compiled_scratch(program, params, scratch)?;
-    crate::sanitizer::check(program, params, &prediction);
-    Ok(prediction)
-}
-
-/// Strategy dispatch body of [`run_compiled_scratch`], separated so the
-/// sanitizer sees the *final* result shape — the representative
-/// composition rather than its internal mini-runs.
-fn dispatch_compiled_scratch(
-    program: &CompiledProgram,
-    params: &SimParams,
-    scratch: &mut SimScratch,
-) -> Result<Prediction, ExtrapError> {
-    if let SimStrategy::Representative {
-        max_clusters,
-        tolerance,
-    } = params.strategy
-    {
-        params.validate().map_err(ExtrapError::Params)?;
-        if let Some(plan) = crate::repr::ReprPlan::from_program(program, max_clusters, tolerance) {
-            return plan.run(params, scratch);
-        }
-    }
-    exact_compiled_scratch(program, params, scratch)
-}
-
-/// The exact (every-epoch) path of [`run_compiled_scratch`], and the
-/// fallback target when representative clustering finds no repetition:
-/// falling back lands on literally the same code the exact strategy
-/// runs, so fallback output is byte-identical by construction.
+/// The exact (every-epoch) simulation on the paper's analytic network
+/// contention model: the exact strategy, the representative fallback,
+/// and every representative mini-run.
 pub(crate) fn exact_compiled_scratch(
     program: &CompiledProgram,
     params: &SimParams,
@@ -262,12 +244,12 @@ pub(crate) fn exact_compiled_scratch(
         .mapping
         .n_procs(program.n_threads().max(1));
     let net = NetworkState::new(n_procs, params.network, params.comm.byte_transfer);
-    run_compiled_with_network(program, params, net, scratch)
+    run_on_network(program, params, net, scratch)
 }
 
-/// Runs a compiled program with a caller-supplied network model and
-/// scratch buffers.  Every other entry point funnels here.
-pub fn run_compiled_with_network<N: NetModel>(
+/// Runs a compiled program with a network model and scratch buffers.
+/// Every simulation funnels here.
+fn run_on_network<N: NetModel>(
     program: &CompiledProgram,
     params: &SimParams,
     net: N,
@@ -310,10 +292,7 @@ impl<'p, N: NetModel> Sim<'p, N> {
         let record = params.record_mode == RecordMode::Full;
 
         let mut queue = mem::take(&mut scratch.queue);
-        // Auto resolves against the compiled program's occupancy hint;
-        // a recycled queue keeps its allocations unless the resolved
-        // backend actually changes between runs.
-        queue.reset_with(params.scheduler.resolve(program.peak_events()));
+        queue.reset();
         let mut msgs = mem::take(&mut scratch.msgs);
         msgs.clear();
 

@@ -48,11 +48,7 @@ pub mod sweep;
 
 pub use cluster::{extrapolate_clustered, ClusterParams, ClusteredNetwork};
 pub use compare::{diff, DeltaNs, PredictionDiff};
-pub use engine::{
-    run_compiled, run_compiled_scratch, run_compiled_with_network, run_with_network, ExtrapError,
-    SimScratch,
-};
-pub use extrap_sim::SchedulerKind;
+pub use engine::{run_with_network, ExtrapError, SimScratch};
 pub use extrapolate::{extrapolate, extrapolate_program};
 pub use metrics::{Prediction, ProcBreakdown};
 pub use multithread::{MultithreadParams, ThreadMapping};
@@ -68,7 +64,6 @@ pub use scalability::{Scalability, ScalePoint};
 pub use session::{Extrapolator, RunInput};
 pub use streaming::{compile_program_stream, compile_set_stream};
 pub use sweep::{
-    claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, sweep_streaming,
-    sweep_streaming_cancellable, CachedTrace, CancelToken, SharedTraceCache, SweepError, SweepGrid,
-    SweepJob, TraceValidator,
+    claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace,
+    CancelToken, SharedTraceCache, SweepError, SweepGrid, SweepJob, TraceValidator,
 };

@@ -162,12 +162,11 @@ pub struct CompiledThread {
 /// Compilation is parameter-independent (`MipsRatio` scaling happens at
 /// execution time), so a sweep over P traces × K parameter sets compiles
 /// P times instead of P×K times.  Wrap it in an `Arc` — the sweep cache
-/// does — and hand it to `Extrapolator::run_compiled` as many times as
-/// you like.
+/// does — and hand it to [`Extrapolator::run`](crate::Extrapolator::run)
+/// as many times as you like.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledProgram {
     threads: Vec<CompiledThread>,
-    peak_events: usize,
 }
 
 impl CompiledProgram {
@@ -194,31 +193,7 @@ impl CompiledProgram {
     /// hand over scripts shaped like [`compile`](CompiledProgram::compile)
     /// produces them (trailing [`Op::End`], globally aligned barriers).
     pub fn from_threads(threads: Vec<CompiledThread>) -> CompiledProgram {
-        // Per-epoch (between-barrier) remote-write counts, summed across
-        // threads: non-blocking writes are the only ops that can pile up
-        // in the event queue faster than they drain, and a barrier
-        // flushes them, so the busiest epoch bounds the write backlog.
-        let mut epoch_writes: Vec<usize> = Vec::new();
-        for t in &threads {
-            let mut epoch = 0usize;
-            for op in &t.ops {
-                match op {
-                    Op::Barrier(_) => epoch += 1,
-                    Op::RemoteWrite { .. } => {
-                        if epoch_writes.len() <= epoch {
-                            epoch_writes.resize(epoch + 1, 0);
-                        }
-                        epoch_writes[epoch] += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let peak_events = 3 * threads.len() + epoch_writes.iter().copied().max().unwrap_or(0);
-        CompiledProgram {
-            threads,
-            peak_events,
-        }
+        CompiledProgram { threads }
     }
 
     /// The compiled per-thread scripts, in thread-index order.
@@ -254,16 +229,6 @@ impl CompiledProgram {
                 })
                 .sum::<usize>()
     }
-
-    /// Estimated peak event-queue occupancy for a simulation of this
-    /// program: a small constant per thread (grant + completion + poll
-    /// tick) plus the busiest between-barrier burst of non-blocking
-    /// remote writes.  `SchedulerKind::Auto` resolves against this to
-    /// pick the heap for small queues and the calendar queue once the
-    /// occupancy is deep enough to pay for its buckets.
-    pub fn peak_events(&self) -> usize {
-        self.peak_events
-    }
 }
 
 /// Streaming program compiler: folds translated per-thread records into
@@ -277,7 +242,7 @@ impl CompiledProgram {
 /// order) because each thread folds independently.
 /// [`CompiledProgram::compile`] is an adapter over this machine, which is
 /// what makes the whole-trace and out-of-core paths identical by
-/// construction: same fold, same sealing, same `peak_events` census.
+/// construction: same fold, same sealing.
 #[derive(Debug)]
 pub struct IncrementalCompiler {
     threads: Vec<ThreadFold>,

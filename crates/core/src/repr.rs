@@ -441,7 +441,9 @@ mod tests {
     fn composed_metrics_match_exact_on_perfectly_periodic_trace() {
         let program = periodic(4, 30, &[2_000]);
         let params = SimParams::default();
-        let exact = engine::run_compiled(&program, &params).unwrap();
+        let exact = crate::Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap();
 
         let plan = ReprPlan::from_program(&program, 16, 0.05).unwrap();
         let composed = plan.run(&params, &mut SimScratch::default()).unwrap();
@@ -467,9 +469,13 @@ mod tests {
     fn strategy_dispatch_uses_the_plan() {
         let program = periodic(2, 24, &[3_000]);
         let mut params = SimParams::default();
-        let exact = engine::run_compiled(&program, &params).unwrap();
+        let exact = crate::Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap();
         params.strategy = SimStrategy::representative();
-        let repr = engine::run_compiled(&program, &params).unwrap();
+        let repr = crate::Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap();
         assert!(rel_err(repr.exec_time(), exact.exec_time()) < 0.01);
         assert!(repr.events_dispatched < exact.events_dispatched);
         assert!(repr.predicted.threads.is_empty());

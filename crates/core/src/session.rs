@@ -16,7 +16,7 @@
 //! let prediction = Extrapolator::new(machine::cm5())
 //!     .policy(ServicePolicy::Interrupt)
 //!     .mips_ratio(0.5)
-//!     .run_program(&p.record())
+//!     .run(&p.record())
 //!     .unwrap();
 //! assert_eq!(prediction.n_procs, 4);
 //! ```
@@ -32,7 +32,6 @@ use crate::params::{
     BarrierParams, CommParams, RecordMode, ServicePolicy, SimParams, SimStrategy, SizeMode,
 };
 use crate::processor::CompiledProgram;
-use extrap_sim::SchedulerKind;
 use extrap_trace::{ProgramTrace, TraceSet, TranslateOptions};
 
 /// The one input a [`run`](Extrapolator::run) call extrapolates, at
@@ -100,8 +99,8 @@ impl Extrapolator {
         }
     }
 
-    /// Sets the intrusion-compensation options used by
-    /// [`run_program`](Extrapolator::run_program).
+    /// Sets the intrusion-compensation options used when
+    /// [`run`](Extrapolator::run) translates a [`RunInput::Program`].
     pub fn translate_options(mut self, options: TranslateOptions) -> Extrapolator {
         self.translate = options;
         self
@@ -129,14 +128,6 @@ impl Extrapolator {
     /// ([`RecordMode::MetricsOnly`] skips it; metrics stay identical).
     pub fn record_mode(mut self, mode: RecordMode) -> Extrapolator {
         self.params.record_mode = mode;
-        self
-    }
-
-    /// Sets the simulation kernel's event-queue backend (heap, calendar,
-    /// or auto).  Predictions are byte-identical across backends; this
-    /// is purely a performance knob for large sweeps.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Extrapolator {
-        self.params.scheduler = kind;
         self
     }
 
@@ -184,53 +175,26 @@ impl Extrapolator {
     /// program (with or without caller-provided scratch buffers), or a
     /// raw 1-processor program trace.
     ///
-    /// This is the session API's single entry point; the former
-    /// `run_compiled` / `run_compiled_scratch` / `run_program` methods
-    /// survive as thin wrappers over it.  `&TraceSet`,
+    /// This is the session API's single entry point.  `&TraceSet`,
     /// `&CompiledProgram`, and `&ProgramTrace` convert implicitly, so
-    /// pre-redesign `run(&traces)` call sites compile unchanged.
+    /// `run(&traces)` call sites read naturally.
     pub fn run<'a>(&self, input: impl Into<RunInput<'a>>) -> Result<Prediction, ExtrapError> {
-        match input.into() {
-            RunInput::Traces(traces) => engine::run(traces, &self.params),
-            RunInput::Compiled(program) => engine::run_compiled(program, &self.params),
-            RunInput::CompiledScratch { program, scratch } => {
-                engine::run_compiled_scratch(program, &self.params, scratch)
+        let compiled;
+        let mut fresh = SimScratch::default();
+        let (program, scratch) = match input.into() {
+            RunInput::Traces(traces) => {
+                compiled = CompiledProgram::compile(traces)?;
+                (&compiled, &mut fresh)
             }
+            RunInput::Compiled(program) => (program, &mut fresh),
+            RunInput::CompiledScratch { program, scratch } => (program, scratch),
             RunInput::Program(trace) => {
                 let set = extrap_trace::translate(trace, self.translate)?;
-                engine::run(&set, &self.params)
+                compiled = CompiledProgram::compile(&set)?;
+                (&compiled, &mut fresh)
             }
-        }
-    }
-
-    /// Extrapolates an already-compiled program.
-    ///
-    /// Deprecated-by-doc: prefer `run(&program)` (or
-    /// [`RunInput::Compiled`]); this wrapper remains for migration only.
-    pub fn run_compiled(&self, program: &CompiledProgram) -> Result<Prediction, ExtrapError> {
-        self.run(program)
-    }
-
-    /// Like [`run_compiled`](Extrapolator::run_compiled), reusing the
-    /// caller's scratch buffers.
-    ///
-    /// Deprecated-by-doc: prefer `run(RunInput::CompiledScratch { .. })`;
-    /// this wrapper remains for migration only.
-    pub fn run_compiled_scratch(
-        &self,
-        program: &CompiledProgram,
-        scratch: &mut SimScratch,
-    ) -> Result<Prediction, ExtrapError> {
-        self.run(RunInput::CompiledScratch { program, scratch })
-    }
-
-    /// Translates a raw 1-processor program trace with the session's
-    /// [`TranslateOptions`] and extrapolates it.
-    ///
-    /// Deprecated-by-doc: prefer `run(&trace)` (or
-    /// [`RunInput::Program`]); this wrapper remains for migration only.
-    pub fn run_program(&self, trace: &ProgramTrace) -> Result<Prediction, ExtrapError> {
-        self.run(trace)
+        };
+        engine::simulate(program, &self.params, scratch, None)
     }
 }
 
@@ -260,25 +224,23 @@ mod tests {
         let by_builder = Extrapolator::new(machine::cm5())
             .policy(ServicePolicy::NoInterrupt)
             .mips_ratio(2.0)
-            .run_program(&pt)
+            .run(&pt)
             .unwrap()
             .exec_time();
         assert_eq!(by_hand, by_builder);
     }
 
     #[test]
-    fn translate_options_flow_into_run_program() {
+    fn translate_options_flow_into_program_runs() {
         let noisy = pt_with_overhead();
         let compensated = Extrapolator::new(machine::ideal())
             .translate_options(TranslateOptions {
                 event_overhead: DurationNs::from_us(5.0),
                 switch_overhead: DurationNs::ZERO,
             })
-            .run_program(&noisy)
+            .run(&noisy)
             .unwrap();
-        let raw = Extrapolator::new(machine::ideal())
-            .run_program(&noisy)
-            .unwrap();
+        let raw = Extrapolator::new(machine::ideal()).run(&noisy).unwrap();
         assert!(compensated.exec_time() < raw.exec_time());
     }
 
@@ -320,15 +282,6 @@ mod tests {
             assert_eq!(via_traces.exec_time(), p.exec_time());
             assert_eq!(via_traces.per_thread, p.per_thread);
         }
-        // The deprecated-doc'd wrappers stay behaviour-identical.
-        assert_eq!(
-            session.run_compiled(&compiled).unwrap().exec_time(),
-            via_compiled.exec_time()
-        );
-        assert_eq!(
-            session.run_program(&pt).unwrap().exec_time(),
-            via_program.exec_time()
-        );
     }
 
     #[test]

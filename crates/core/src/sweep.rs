@@ -54,7 +54,7 @@
 
 use crate::engine::{self, ExtrapError, SimScratch};
 use crate::metrics::Prediction;
-use crate::params::{SimParams, SimStrategy};
+use crate::params::SimParams;
 use crate::processor::CompiledProgram;
 use crate::repr::ReprPlan;
 use extrap_trace::{TraceError, TraceSet};
@@ -718,7 +718,9 @@ where
     K: Eq + Hash + Clone + Send + Sync,
     F: Fn(&K) -> Result<TraceSet, TraceError> + Sync,
 {
-    sweep_cancellable(jobs, workers, cache, source, &CancelToken::new())
+    sweep_cancellable(jobs, workers, &CancelToken::new(), |key: &K| {
+        cache.get_or_translate(key.clone(), || source(key))
+    })
 }
 
 /// A shared cooperative cancellation flag.
@@ -749,117 +751,40 @@ impl CancelToken {
     }
 }
 
-/// [`sweep`] with cooperative cancellation: jobs not yet started when
-/// `cancel` fires fail with [`ExtrapError::Cancelled`] (carrying their
-/// key); jobs already simulating run to completion, so every returned
-/// `Ok` prediction is exactly what the uncancelled sweep would have
-/// produced.  The `extrap-serve` daemon drains in-flight work through
-/// this on forced shutdown.
+/// The general sweep: runs every job across `workers` threads with
+/// cooperative cancellation, fetching each job's trace through `entry`
+/// — conventionally a cache lookup such as
+/// [`SharedTraceCache::get_or_translate`] (whole traces, what [`sweep`]
+/// passes) or [`SharedTraceCache::compile_streaming`] (out-of-core
+/// ingestion).  Jobs sharing a cache entry share its compiled program
+/// and memoized representative plans, so clustering runs once per trace
+/// for every parameter set and worker touching it.
+///
+/// Jobs not yet started when `cancel` fires fail with
+/// [`ExtrapError::Cancelled`] (carrying their key); jobs already
+/// simulating run to completion, so every returned `Ok` prediction is
+/// exactly what the uncancelled sweep would have produced.  The
+/// `extrap-serve` daemon drains in-flight work through this on forced
+/// shutdown.  Results are indexed by job position, as in [`sweep`].
 pub fn sweep_cancellable<K, F>(
     jobs: &[SweepJob<K>],
     workers: usize,
-    cache: &SharedTraceCache<K>,
-    source: F,
     cancel: &CancelToken,
+    entry: F,
 ) -> Vec<Result<Prediction, SweepError<K>>>
 where
-    K: Eq + Hash + Clone + Send + Sync,
-    F: Fn(&K) -> Result<TraceSet, TraceError> + Sync,
+    K: Clone + Send + Sync,
+    F: Fn(&K) -> Result<Arc<CachedTrace>, ExtrapError> + Sync,
 {
     parallel_map_with(jobs, workers, SimScratch::default, |scratch, _, job| {
-        if cancel.is_cancelled() {
-            return Err(SweepError {
-                key: job.key.clone(),
-                error: ExtrapError::Cancelled,
-            });
-        }
-        let cached = cache
-            .get_or_translate(job.key.clone(), || source(&job.key))
-            .map_err(|error| SweepError {
-                key: job.key.clone(),
-                error,
-            })?;
-        run_cached_job(&cached, job, scratch).map_err(|error| SweepError {
-            key: job.key.clone(),
-            error,
-        })
-    })
-}
-
-/// Runs one job against a cache entry.  Strategy dispatch mirrors
-/// `run_compiled_scratch`, but through the cache's memoized plan:
-/// clustering runs once per trace and is shared by every parameter set
-/// and worker touching it.
-fn run_cached_job<K>(
-    cached: &CachedTrace,
-    job: &SweepJob<K>,
-    scratch: &mut SimScratch,
-) -> Result<Prediction, ExtrapError> {
-    match job.params.strategy {
-        SimStrategy::Representative {
-            max_clusters,
-            tolerance,
-        } => match cached.repr_plan(max_clusters, tolerance) {
-            Some(plan) => job
-                .params
-                .validate()
-                .map_err(ExtrapError::Params)
-                .and_then(|()| plan.run(&job.params, scratch)),
-            // The memoized "no repetition" verdict: go straight to
-            // the exact path instead of re-running clustering.
-            None => engine::exact_compiled_scratch(cached.program(), &job.params, scratch),
-        },
-        SimStrategy::Exact => engine::run_compiled_scratch(cached.program(), &job.params, scratch),
-    }
-}
-
-/// [`sweep`] with out-of-core trace ingestion: `compile` builds each
-/// distinct key's [`CompiledProgram`] through a streaming pipeline (see
-/// `crate::streaming`) instead of materializing a [`TraceSet`], via
-/// [`SharedTraceCache::compile_streaming`].  Everything downstream —
-/// job order, strategy dispatch, memoized representative plans,
-/// determinism — is shared with the whole-trace engine, so results are
-/// identical for equivalent inputs.
-pub fn sweep_streaming<K, F>(
-    jobs: &[SweepJob<K>],
-    workers: usize,
-    cache: &SharedTraceCache<K>,
-    compile: F,
-) -> Vec<Result<Prediction, SweepError<K>>>
-where
-    K: Eq + Hash + Clone + Send + Sync,
-    F: Fn(&K) -> Result<CompiledProgram, TraceError> + Sync,
-{
-    sweep_streaming_cancellable(jobs, workers, cache, compile, &CancelToken::new())
-}
-
-/// [`sweep_streaming`] with cooperative cancellation (the streaming
-/// counterpart of [`sweep_cancellable`]).
-pub fn sweep_streaming_cancellable<K, F>(
-    jobs: &[SweepJob<K>],
-    workers: usize,
-    cache: &SharedTraceCache<K>,
-    compile: F,
-    cancel: &CancelToken,
-) -> Vec<Result<Prediction, SweepError<K>>>
-where
-    K: Eq + Hash + Clone + Send + Sync,
-    F: Fn(&K) -> Result<CompiledProgram, TraceError> + Sync,
-{
-    parallel_map_with(jobs, workers, SimScratch::default, |scratch, _, job| {
-        if cancel.is_cancelled() {
-            return Err(SweepError {
-                key: job.key.clone(),
-                error: ExtrapError::Cancelled,
-            });
-        }
-        let cached = cache
-            .compile_streaming(job.key.clone(), || compile(&job.key))
-            .map_err(|error| SweepError {
-                key: job.key.clone(),
-                error,
-            })?;
-        run_cached_job(&cached, job, scratch).map_err(|error| SweepError {
+        let result = if cancel.is_cancelled() {
+            Err(ExtrapError::Cancelled)
+        } else {
+            entry(&job.key).and_then(|cached| {
+                engine::simulate(cached.program(), &job.params, scratch, Some(&cached))
+            })
+        };
+        result.map_err(|error| SweepError {
             key: job.key.clone(),
             error,
         })
@@ -1083,36 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_predictions_are_identical_across_schedulers() {
-        // The same grid under heap, calendar, and auto backends must
-        // produce byte-identical predictions — the SchedulerKind knob is
-        // performance-only.
-        use extrap_sim::SchedulerKind;
-        let run = |kind: SchedulerKind| {
-            let mut params = machine::default_distributed();
-            params.scheduler = kind;
-            let jobs = SweepGrid::new()
-                .workloads(["uniform"])
-                .procs([1, 2, 4, 8])
-                .params(params)
-                .jobs();
-            let cache = SharedTraceCache::new();
-            sweep(&jobs, 2, &cache, |&(_, n)| uniform(n))
-        };
-        let heap = run(SchedulerKind::Heap);
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Auto] {
-            let other = run(kind);
-            assert_eq!(heap.len(), other.len());
-            for (a, b) in heap.iter().zip(&other) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.exec_time(), b.exec_time());
-                assert_eq!(a.predicted, b.predicted);
-                assert_eq!(a.per_thread, b.per_thread);
-            }
-        }
-    }
-
-    #[test]
     fn eviction_frees_lru_entries_and_retranslates_on_demand() {
         let cache: SharedTraceCache<usize> = SharedTraceCache::new();
         for n in [2usize, 4, 8] {
@@ -1172,7 +1067,9 @@ mod tests {
         let cache = SharedTraceCache::new();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let results = sweep_cancellable(&jobs, 2, &cache, |&(_, n)| uniform(n), &cancel);
+        let results = sweep_cancellable(&jobs, 2, &cancel, |key: &(&str, usize)| {
+            cache.get_or_translate(*key, || uniform(key.1))
+        });
         assert_eq!(results.len(), jobs.len());
         for r in &results {
             assert!(matches!(

@@ -1,12 +1,12 @@
 //! Equivalence guarantees of the hot-path machinery: a compiled program
-//! replayed through `run_compiled` (with or without reused scratch
+//! replayed through `Extrapolator::run` (with or without reused scratch
 //! buffers) must be indistinguishable from the classic trace path, and
 //! `RecordMode::MetricsOnly` must change nothing but the predicted
 //! trace.
 
 use extrap_core::{
-    machine, sweep::CachedTrace, CompiledProgram, Extrapolator, RecordMode, ServicePolicy,
-    SimParams, SimScratch,
+    machine, sweep::CachedTrace, CompiledProgram, Extrapolator, RecordMode, RunInput,
+    ServicePolicy, SimParams, SimScratch,
 };
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceSet};
@@ -45,13 +45,13 @@ fn param_grid() -> Vec<SimParams> {
 }
 
 #[test]
-fn run_compiled_matches_run_exactly() {
+fn compiled_run_matches_trace_run_exactly() {
     let ts = ring(6);
     let program = CompiledProgram::compile(&ts).unwrap();
     for params in param_grid() {
         let session = Extrapolator::new(params);
         let classic = session.run(&ts).unwrap();
-        let compiled = session.run_compiled(&program).unwrap();
+        let compiled = session.run(&program).unwrap();
         assert_eq!(classic.per_thread, compiled.per_thread);
         assert_eq!(classic.predicted, compiled.predicted);
         assert_eq!(classic.events_dispatched, compiled.events_dispatched);
@@ -70,9 +70,12 @@ fn scratch_reuse_does_not_leak_state_between_runs() {
         let program = CompiledProgram::compile(&ts).unwrap();
         for params in param_grid() {
             let session = Extrapolator::new(params);
-            let fresh = session.run_compiled(&program).unwrap();
+            let fresh = session.run(&program).unwrap();
             let reused = session
-                .run_compiled_scratch(&program, &mut scratch)
+                .run(RunInput::CompiledScratch {
+                    program: &program,
+                    scratch: &mut scratch,
+                })
                 .unwrap();
             assert_eq!(fresh.per_thread, reused.per_thread);
             assert_eq!(fresh.predicted, reused.predicted);
@@ -86,12 +89,10 @@ fn metrics_only_changes_nothing_but_the_predicted_trace() {
     let ts = ring(5);
     let program = CompiledProgram::compile(&ts).unwrap();
     for params in param_grid() {
-        let full = Extrapolator::new(params.clone())
-            .run_compiled(&program)
-            .unwrap();
+        let full = Extrapolator::new(params.clone()).run(&program).unwrap();
         let lean = Extrapolator::new(params)
             .record_mode(RecordMode::MetricsOnly)
-            .run_compiled(&program)
+            .run(&program)
             .unwrap();
         assert_eq!(
             full.per_thread, lean.per_thread,
@@ -110,9 +111,7 @@ fn metrics_only_changes_nothing_but_the_predicted_trace() {
 fn full_mode_reserves_exact_predicted_capacity() {
     let ts = ring(4);
     let program = CompiledProgram::compile(&ts).unwrap();
-    let pred = Extrapolator::new(machine::cm5())
-        .run_compiled(&program)
-        .unwrap();
+    let pred = Extrapolator::new(machine::cm5()).run(&program).unwrap();
     for (ct, tt) in program.threads().iter().zip(&pred.predicted.threads) {
         assert_eq!(
             ct.predicted_records,

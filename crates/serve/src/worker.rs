@@ -98,15 +98,17 @@ fn run_sweep_batch(service: &Service, first: SweepWork, first_deadline: Instant)
     let results = sweep_cancellable(
         &jobs,
         service.config().sweep_workers,
-        service.sweep_cache(),
-        |(name, n, _)| {
-            let bench = extrap_workloads::Bench::all()
-                .into_iter()
-                .find(|b| b.name() == name.as_str())
-                .expect("benchmark validated at admission");
-            extrap_trace::translate(&bench.trace(*n, scale), Default::default())
-        },
         service.cancel_token(),
+        |key| {
+            service.sweep_cache().get_or_translate(key.clone(), || {
+                let (name, n, _) = key;
+                let bench = extrap_workloads::Bench::all()
+                    .into_iter()
+                    .find(|b| b.name() == name.as_str())
+                    .expect("benchmark validated at admission");
+                extrap_trace::translate(&bench.trace(*n, scale), Default::default())
+            })
+        },
     );
 
     // Exact integer nanoseconds per grid point; clients re-derive any

@@ -1,11 +1,8 @@
 //! The event queue and simulation clock.
 //!
 //! The engine layers a simulation clock and O(1) token cancellation on
-//! top of a pluggable pending-event store (see [`crate::sched`]): a
-//! binary heap ([`crate::heap`]) or a calendar queue
-//! ([`crate::calendar`]), selected by [`SchedulerKind`].  Both backends
-//! dispatch in identical `(time, seq)` order, so simulation outputs are
-//! byte-identical across kinds.
+//! top of an inline-key binary heap of pending events ([`crate::heap`]),
+//! which pops in `(time, seq)` order — FIFO at equal timestamps.
 //!
 //! Cancellation state lives in a tiny slab of per-event `gen` + flag
 //! records addressed by recycled slot indices.  Cancelling flags the
@@ -17,9 +14,7 @@
 //! fires or is cancelled, so stale tokens can never cancel a recycled
 //! slot.
 
-use crate::calendar::CalendarScheduler;
-use crate::heap::HeapScheduler;
-use crate::sched::{EventEntry, Scheduler, SchedulerKind};
+use crate::heap::{EventEntry, HeapScheduler};
 use extrap_time::{DurationNs, TimeNs};
 
 /// A handle to a scheduled event, usable to cancel it before it fires.
@@ -50,62 +45,6 @@ struct Slot {
     cancelled: bool,
 }
 
-/// The concrete pending-event store, dispatched by match so the hot
-/// path pays an enum branch instead of a vtable call.
-enum Backend<E> {
-    Heap(HeapScheduler<E>),
-    Calendar(CalendarScheduler<E>),
-}
-
-impl<E: Copy> Backend<E> {
-    fn for_kind(kind: SchedulerKind) -> Backend<E> {
-        // Auto carries no occupancy estimate at this layer; callers
-        // with one (extrap-core's compiled programs) resolve it first.
-        match kind.resolve(0) {
-            SchedulerKind::Calendar => Backend::Calendar(CalendarScheduler::new()),
-            _ => Backend::Heap(HeapScheduler::new()),
-        }
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        match self {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Calendar(_) => SchedulerKind::Calendar,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, entry: EventEntry<E>) {
-        match self {
-            Backend::Heap(s) => s.push(entry),
-            Backend::Calendar(s) => s.push(entry),
-        }
-    }
-
-    #[inline]
-    fn pop_min(&mut self) -> Option<EventEntry<E>> {
-        match self {
-            Backend::Heap(s) => s.pop_min(),
-            Backend::Calendar(s) => s.pop_min(),
-        }
-    }
-
-    #[inline]
-    fn peek_min(&mut self) -> Option<&EventEntry<E>> {
-        match self {
-            Backend::Heap(s) => s.peek_min(),
-            Backend::Calendar(s) => s.peek_min(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Backend::Heap(s) => s.clear(),
-            Backend::Calendar(s) => s.clear(),
-        }
-    }
-}
-
 /// A deterministic discrete-event engine over payloads of type `E`.
 ///
 /// The driver loop is owned by the caller:
@@ -129,7 +68,7 @@ pub struct Engine<E> {
     next_seq: u64,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    backend: Backend<E>,
+    queue: HeapScheduler<E>,
     live: usize,
     tombstones: usize,
     dispatched: u64,
@@ -142,34 +81,21 @@ impl<E: Copy> Default for Engine<E> {
 }
 
 // Payloads are `Copy`: simulator events are small value types, and the
-// bound lets the heap backend move elements hole-style (one write per
+// bound lets the heap move elements hole-style (one write per
 // level) like `std::collections::BinaryHeap`.
 impl<E: Copy> Engine<E> {
-    /// Creates an engine with the clock at zero on the default binary
-    /// heap backend.
+    /// Creates an engine with the clock at zero and an empty queue.
     pub fn new() -> Engine<E> {
-        Engine::with_scheduler(SchedulerKind::Heap)
-    }
-
-    /// Creates an engine with the clock at zero on the given backend.
-    /// `Auto` resolves to the heap here — callers with an occupancy
-    /// estimate resolve it via [`SchedulerKind::resolve`] first.
-    pub fn with_scheduler(kind: SchedulerKind) -> Engine<E> {
         Engine {
             now: TimeNs::ZERO,
             next_seq: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            backend: Backend::for_kind(kind),
+            queue: HeapScheduler::new(),
             live: 0,
             tombstones: 0,
             dispatched: 0,
         }
-    }
-
-    /// The backend this engine is running on (never `Auto`).
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.backend.kind()
     }
 
     /// The current simulation time (the timestamp of the last dispatched
@@ -194,22 +120,10 @@ impl<E: Copy> Engine<E> {
         self.next_seq = 0;
         self.slots.clear();
         self.free.clear();
-        self.backend.clear();
+        self.queue.clear();
         self.live = 0;
         self.tombstones = 0;
         self.dispatched = 0;
-    }
-
-    /// [`reset`](Engine::reset), additionally switching the backend to
-    /// `kind` (`Auto` resolves to the heap).  When the backend already
-    /// matches, its allocations are kept, so recycled engines pay the
-    /// swap only when a sweep actually changes scheduler between runs.
-    pub fn reset_with(&mut self, kind: SchedulerKind) {
-        let kind = kind.resolve(0);
-        if self.backend.kind() != kind {
-            self.backend = Backend::for_kind(kind);
-        }
-        self.reset();
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -241,7 +155,7 @@ impl<E: Copy> Engine<E> {
             }
         };
         self.live += 1;
-        self.backend.push(EventEntry {
+        self.queue.push(EventEntry {
             time: at,
             seq,
             slot,
@@ -280,7 +194,7 @@ impl<E: Copy> Engine<E> {
     /// Pops the next live event, advancing the clock to its timestamp.
     #[allow(clippy::should_implement_trait)] // the driver loop reads naturally as `while eng.next()`
     pub fn next(&mut self) -> Option<(TimeNs, E)> {
-        while let Some(entry) = self.backend.pop_min() {
+        while let Some(entry) = self.queue.pop_min() {
             if self.release(entry.slot) {
                 self.tombstones -= 1;
                 continue;
@@ -297,12 +211,12 @@ impl<E: Copy> Engine<E> {
     /// The timestamp of the next live event, without dispatching it.
     pub fn peek_time(&mut self) -> Option<TimeNs> {
         loop {
-            let entry = self.backend.peek_min()?;
+            let entry = self.queue.peek_min()?;
             let (time, slot) = (entry.time, entry.slot);
             if !self.slots[slot as usize].cancelled {
                 return Some(time);
             }
-            self.backend.pop_min();
+            self.queue.pop_min();
             self.release(slot);
             self.tombstones -= 1;
         }
@@ -346,50 +260,35 @@ impl<E: Copy> Engine<E> {
 mod tests {
     use super::*;
 
-    /// Both concrete backends, so every behavioral test runs on each.
-    const KINDS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Calendar];
-
-    fn each_kind(test: impl Fn(SchedulerKind)) {
-        for kind in KINDS {
-            test(kind);
-        }
-    }
-
     #[test]
     fn fifo_at_equal_times() {
-        each_kind(|kind| {
-            let mut eng: Engine<u32> = Engine::with_scheduler(kind);
-            for i in 0..10 {
-                eng.schedule(TimeNs(5), i);
-            }
-            let got: Vec<u32> = std::iter::from_fn(|| eng.next().map(|(_, e)| e)).collect();
-            assert_eq!(got, (0..10).collect::<Vec<_>>());
-        });
+        let mut eng: Engine<u32> = Engine::new();
+        for i in 0..10 {
+            eng.schedule(TimeNs(5), i);
+        }
+        let got: Vec<u32> = std::iter::from_fn(|| eng.next().map(|(_, e)| e)).collect();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn time_ordering_wins_over_insertion() {
-        each_kind(|kind| {
-            let mut eng: Engine<&str> = Engine::with_scheduler(kind);
-            eng.schedule(TimeNs(100), "late");
-            eng.schedule(TimeNs(1), "early");
-            assert_eq!(eng.next().unwrap().1, "early");
-            assert_eq!(eng.next().unwrap().1, "late");
-            assert_eq!(eng.now(), TimeNs(100));
-        });
+        let mut eng: Engine<&str> = Engine::new();
+        eng.schedule(TimeNs(100), "late");
+        eng.schedule(TimeNs(1), "early");
+        assert_eq!(eng.next().unwrap().1, "early");
+        assert_eq!(eng.next().unwrap().1, "late");
+        assert_eq!(eng.now(), TimeNs(100));
     }
 
     #[test]
     fn cancel_prevents_dispatch() {
-        each_kind(|kind| {
-            let mut eng: Engine<&str> = Engine::with_scheduler(kind);
-            let t1 = eng.schedule(TimeNs(10), "a");
-            eng.schedule(TimeNs(20), "b");
-            assert!(eng.cancel(t1));
-            assert!(!eng.cancel(t1), "double cancel reports false");
-            assert_eq!(eng.next().unwrap().1, "b");
-            assert!(eng.next().is_none());
-        });
+        let mut eng: Engine<&str> = Engine::new();
+        let t1 = eng.schedule(TimeNs(10), "a");
+        eng.schedule(TimeNs(20), "b");
+        assert!(eng.cancel(t1));
+        assert!(!eng.cancel(t1), "double cancel reports false");
+        assert_eq!(eng.next().unwrap().1, "b");
+        assert!(eng.next().is_none());
     }
 
     #[test]
@@ -411,40 +310,36 @@ mod tests {
 
     #[test]
     fn tombstones_drain_to_zero_on_pop() {
-        each_kind(|kind| {
-            let mut eng: Engine<u32> = Engine::with_scheduler(kind);
-            let mut tokens = Vec::new();
-            for i in 0..64 {
-                tokens.push(eng.schedule(TimeNs(i % 9), i as u32));
-            }
-            for t in tokens.iter().step_by(2) {
-                assert!(eng.cancel(*t));
-            }
-            assert_eq!(eng.tombstones(), 32);
-            assert_eq!(eng.len(), 32);
-            let mut popped = 0;
-            while eng.next().is_some() {
-                popped += 1;
-            }
-            assert_eq!(popped, 32);
-            assert_eq!(eng.tombstones(), 0, "cancelled slots are purged lazily");
-            assert_eq!(eng.len(), 0);
-        });
+        let mut eng: Engine<u32> = Engine::new();
+        let mut tokens = Vec::new();
+        for i in 0..64 {
+            tokens.push(eng.schedule(TimeNs(i % 9), i as u32));
+        }
+        for t in tokens.iter().step_by(2) {
+            assert!(eng.cancel(*t));
+        }
+        assert_eq!(eng.tombstones(), 32);
+        assert_eq!(eng.len(), 32);
+        let mut popped = 0;
+        while eng.next().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, 32);
+        assert_eq!(eng.tombstones(), 0, "cancelled slots are purged lazily");
+        assert_eq!(eng.len(), 0);
     }
 
     #[test]
     fn stale_token_cannot_cancel_a_recycled_slot() {
-        each_kind(|kind| {
-            let mut eng: Engine<&str> = Engine::with_scheduler(kind);
-            let stale = eng.schedule(TimeNs(1), "first");
-            eng.next();
-            // The slab now recycles the freed slot for a new event; the old
-            // token must not be able to cancel it.
-            let fresh = eng.schedule(TimeNs(2), "second");
-            assert!(!eng.cancel(stale));
-            assert_eq!(eng.next(), Some((TimeNs(2), "second")));
-            assert!(!eng.cancel(fresh), "fresh token is stale after dispatch");
-        });
+        let mut eng: Engine<&str> = Engine::new();
+        let stale = eng.schedule(TimeNs(1), "first");
+        eng.next();
+        // The slab now recycles the freed slot for a new event; the old
+        // token must not be able to cancel it.
+        let fresh = eng.schedule(TimeNs(2), "second");
+        assert!(!eng.cancel(stale));
+        assert_eq!(eng.next(), Some((TimeNs(2), "second")));
+        assert!(!eng.cancel(fresh), "fresh token is stale after dispatch");
     }
 
     #[test]
@@ -457,26 +352,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past")]
-    fn scheduling_into_past_panics_on_calendar() {
-        let mut eng: Engine<u8> = Engine::with_scheduler(SchedulerKind::Calendar);
-        eng.schedule(TimeNs(10), 1);
-        eng.next();
-        eng.schedule(TimeNs(5), 2);
-    }
-
-    #[test]
     fn peek_skips_cancelled() {
-        each_kind(|kind| {
-            let mut eng: Engine<u8> = Engine::with_scheduler(kind);
-            let t = eng.schedule(TimeNs(1), 1);
-            eng.schedule(TimeNs(2), 2);
-            eng.cancel(t);
-            assert_eq!(eng.peek_time(), Some(TimeNs(2)));
-            assert_eq!(eng.len(), 1);
-            assert_eq!(eng.next(), Some((TimeNs(2), 2)));
-            assert_eq!(eng.peek_time(), None);
-        });
+        let mut eng: Engine<u8> = Engine::new();
+        let t = eng.schedule(TimeNs(1), 1);
+        eng.schedule(TimeNs(2), 2);
+        eng.cancel(t);
+        assert_eq!(eng.peek_time(), Some(TimeNs(2)));
+        assert_eq!(eng.len(), 1);
+        assert_eq!(eng.next(), Some((TimeNs(2), 2)));
+        assert_eq!(eng.peek_time(), None);
     }
 
     #[test]
@@ -500,62 +384,19 @@ mod tests {
 
     #[test]
     fn reset_recycles_the_engine() {
-        each_kind(|kind| {
-            let mut eng: Engine<u8> = Engine::with_scheduler(kind);
-            let t = eng.schedule(TimeNs(10), 1);
-            eng.schedule(TimeNs(20), 2);
-            eng.cancel(t);
-            eng.next();
-            eng.reset();
-            assert_eq!(eng.now(), TimeNs::ZERO);
-            assert_eq!(eng.dispatched(), 0);
-            assert_eq!(eng.len(), 0);
-            assert_eq!(eng.tombstones(), 0);
-            // A full re-run behaves exactly like a fresh engine.
-            eng.schedule(TimeNs(5), 7);
-            assert_eq!(eng.next(), Some((TimeNs(5), 7)));
-        });
-    }
-
-    #[test]
-    fn reset_with_switches_backends() {
         let mut eng: Engine<u8> = Engine::new();
-        assert_eq!(eng.scheduler(), SchedulerKind::Heap);
-        eng.schedule(TimeNs(1), 1);
-        eng.reset_with(SchedulerKind::Calendar);
-        assert_eq!(eng.scheduler(), SchedulerKind::Calendar);
+        let t = eng.schedule(TimeNs(10), 1);
+        eng.schedule(TimeNs(20), 2);
+        eng.cancel(t);
+        eng.next();
+        eng.reset();
+        assert_eq!(eng.now(), TimeNs::ZERO);
+        assert_eq!(eng.dispatched(), 0);
         assert_eq!(eng.len(), 0);
-        eng.schedule(TimeNs(3), 3);
-        assert_eq!(eng.next(), Some((TimeNs(3), 3)));
-        // Auto without an estimate falls back to the heap.
-        eng.reset_with(SchedulerKind::Auto);
-        assert_eq!(eng.scheduler(), SchedulerKind::Heap);
-    }
-
-    #[test]
-    fn backends_dispatch_identically() {
-        // The same interleaved workload on both backends produces the
-        // exact same (time, payload) sequence — the byte-identical
-        // output contract the sweeps rely on.
-        let run = |kind: SchedulerKind| {
-            let mut eng: Engine<u64> = Engine::with_scheduler(kind);
-            let mut out = Vec::new();
-            let mut tokens = Vec::new();
-            for i in 0..300u64 {
-                tokens.push(eng.schedule(TimeNs((i * 37) % 101), i));
-            }
-            for t in tokens.iter().step_by(3) {
-                eng.cancel(*t);
-            }
-            while let Some((t, e)) = eng.next() {
-                out.push((t, e));
-                if e % 7 == 0 && out.len() < 600 {
-                    eng.schedule_after(DurationNs(5), e + 10_000);
-                }
-            }
-            out
-        };
-        assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Calendar));
+        assert_eq!(eng.tombstones(), 0);
+        // A full re-run behaves exactly like a fresh engine.
+        eng.schedule(TimeNs(5), 7);
+        assert_eq!(eng.next(), Some((TimeNs(5), 7)));
     }
 
     #[test]

@@ -1,18 +1,45 @@
-//! The binary-heap scheduler backend: O(log n) per operation with keys
-//! and payloads inline, so scheduling and dispatching never leave the
-//! heap's contiguous storage.  This is the engine's default backend —
-//! insensitive to the timestamp distribution and unbeatable at the
-//! small queue depths typical of the paper's Fig-4 workloads.
+//! The engine's pending-event store: a binary min-heap with keys and
+//! payloads inline, so scheduling and dispatching never leave the
+//! heap's contiguous storage.  O(log n) per operation and insensitive
+//! to the timestamp distribution — at the small queue depths of the
+//! paper's workloads the log factor is a handful of comparisons on hot
+//! cache lines.
 
-use crate::sched::{EventEntry, Scheduler};
+use extrap_time::TimeNs;
+
+/// One pending event: the `(time, seq)` ordering key, the slab slot
+/// carrying the event's cancellation state, and the payload itself.
+/// Everything a dispatch needs is inline, so the heap never chases a
+/// side table while reordering its storage.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EventEntry<E> {
+    /// Absolute event timestamp.
+    pub time: TimeNs,
+    /// Schedule-order sequence number (the FIFO tie-breaker).
+    pub seq: u64,
+    /// Slab slot holding this event's cancellation state.
+    pub slot: u32,
+    /// The event payload.
+    pub payload: E,
+}
+
+impl<E> EventEntry<E> {
+    /// The `(time, seq)` ordering key packed into one `u128` so a
+    /// comparison is a single wide compare.  `TimeNs` is a transparent
+    /// `u64` with derived (numeric) ordering, so the packing is exactly
+    /// lexicographic.
+    #[inline]
+    fn key(&self) -> u128 {
+        ((self.time.0 as u128) << 64) | self.seq as u128
+    }
+}
 
 /// A min-heap of [`EventEntry`]s ordered by `(time, seq)`.
 ///
 /// Payloads are `Copy`: simulator events are small value types, and the
 /// bound lets the sifts move elements hole-style (one write per level)
 /// like `std::collections::BinaryHeap`.
-#[derive(Default)]
-pub struct HeapScheduler<E> {
+pub(crate) struct HeapScheduler<E> {
     heap: Vec<EventEntry<E>>,
 }
 
@@ -20,6 +47,34 @@ impl<E: Copy> HeapScheduler<E> {
     /// Creates an empty heap.
     pub fn new() -> HeapScheduler<E> {
         HeapScheduler { heap: Vec::new() }
+    }
+
+    /// Inserts an entry.
+    pub fn push(&mut self, entry: EventEntry<E>) {
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Removes and returns the entry with the minimum `(time, seq)` key.
+    pub fn pop_min(&mut self) -> Option<EventEntry<E>> {
+        let last = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return Some(last);
+        }
+        let top = std::mem::replace(&mut self.heap[0], last);
+        self.sift_down(0);
+        Some(top)
+    }
+
+    /// The entry [`pop_min`](Self::pop_min) would return, without
+    /// removing it.
+    pub fn peek_min(&self) -> Option<&EventEntry<E>> {
+        self.heap.first()
+    }
+
+    /// Removes every entry, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -73,31 +128,24 @@ impl<E: Copy> HeapScheduler<E> {
     }
 }
 
-impl<E: Copy> Scheduler<E> for HeapScheduler<E> {
-    fn push(&mut self, entry: EventEntry<E>) {
-        self.heap.push(entry);
-        self.sift_up(self.heap.len() - 1);
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    fn pop_min(&mut self) -> Option<EventEntry<E>> {
-        let last = self.heap.pop()?;
-        if self.heap.is_empty() {
-            return Some(last);
-        }
-        let top = std::mem::replace(&mut self.heap[0], last);
-        self.sift_down(0);
-        Some(top)
-    }
-
-    fn peek_min(&mut self) -> Option<&EventEntry<E>> {
-        self.heap.first()
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    fn raw_len(&self) -> usize {
-        self.heap.len()
+    #[test]
+    fn key_is_lexicographic() {
+        let a = EventEntry {
+            time: TimeNs(1),
+            seq: u64::MAX,
+            slot: 0,
+            payload: (),
+        };
+        let b = EventEntry {
+            time: TimeNs(2),
+            seq: 0,
+            slot: 0,
+            payload: (),
+        };
+        assert!(a.key() < b.key());
     }
 }

@@ -9,16 +9,11 @@
 //! token-based, and no wall-clock or hash-iteration order leaks into
 //! simulation results.
 
-pub mod calendar;
 pub mod engine;
 pub mod fifo;
-pub mod heap;
+mod heap;
 pub mod rng;
-pub mod sched;
 
-pub use calendar::CalendarScheduler;
 pub use engine::{Engine, EventToken};
 pub use fifo::TrackedFifo;
-pub use heap::HeapScheduler;
 pub use rng::SplitMix64;
-pub use sched::{EventEntry, Scheduler, SchedulerKind};
