@@ -21,7 +21,7 @@ use extrap_core::{compile_program_stream, machine, Extrapolator};
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
 use extrap_trace::stream::ProgramStream;
-use extrap_trace::{ProgramTrace, SpillSink};
+use extrap_trace::ProgramTrace;
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -150,28 +150,6 @@ fn main() {
         || black_box(run_pipeline(&huge_path)),
     );
 
-    // The out-of-core translate-to-disk path (`extrap translate
-    // --stream`): spill/merge through a budget so tight every batch
-    // spills, then replay into an output set file.
-    let out = std::env::temp_dir().join(format!(
-        "extrap-bench-pipeline-{}-out.xtps",
-        std::process::id()
-    ));
-    h.bench_throughput(
-        "pipeline_spill_translate",
-        Throughput::Bytes(small_bytes),
-        || {
-            let mut stream = ProgramStream::open(&small_path).expect("open trace stream");
-            let mut sink = SpillSink::new(stream.n_threads(), 4 << 10);
-            extrap_trace::translate_stream(&mut stream, Default::default(), &mut sink)
-                .expect("streaming translate");
-            let spilled = sink.spill_count();
-            sink.write_set_file(&out).expect("write set file");
-            assert!(spilled > 0, "a 4 KiB budget must force spills");
-            black_box(spilled)
-        },
-    );
-
     // The residency numbers as rows, so the committed baseline pins
     // them and `check_bench_regression.py` flags growth beyond 2x.
     // (Values are bytes, not nanoseconds; the gate only ratios them.)
@@ -183,5 +161,4 @@ fn main() {
     assert!(small_pred > 0 && huge_pred > small_pred);
     let _ = std::fs::remove_file(&small_path);
     let _ = std::fs::remove_file(&huge_path);
-    let _ = std::fs::remove_file(&out);
 }

@@ -3,13 +3,11 @@
 //!
 //! ```text
 //! extrap trace     <bench> <threads> [--scale S] -o trace.xtrp
-//! extrap translate trace.xtrp -o traces.xtps [--event-overhead US] [--switch-overhead US] \
-//!                  [--stream [--mem-budget BYTES]]     # out-of-core spill/merge translate
+//! extrap translate trace.xtrp -o traces.xtps [--event-overhead US] [--switch-overhead US]
 //! extrap simulate  traces.xtps [--machine M | --params FILE] [--set KEY=VALUE]... \
-//!                  [--check-bounds] [--predicted OUT] [--stream]
+//!                  [--check-bounds] [--predicted OUT]
 //! extrap analyze   FILE|BENCH [--threads N] [--procs LIST] [--format text|json|csv]
-//! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds] \
-//!                  [--stream [--mem-budget BYTES]]     # bounded-resident grid sweep
+//! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds]
 //! extrap serve     [--addr HOST:PORT] [--workers N] [--mem-budget-mb N] ...
 //! extrap client    sweep|simulate|stats|shutdown [--addr HOST:PORT] ...
 //! extrap check     [traces.xtps]           # determinism report, or model-check the
@@ -27,8 +25,8 @@ mod remote;
 
 use args::ArgSpec;
 use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
-use extrap_time::{DurationNs, TimeNs};
-use extrap_trace::{TraceRecord, TraceStats, TranslateOptions, TranslateSink};
+use extrap_time::DurationNs;
+use extrap_trace::{TraceStats, TranslateOptions};
 use extrap_workloads::{Bench, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -72,17 +70,15 @@ fn run(args: Vec<String>) -> Result<(), String> {
         "help" | "--help" | "-h" => {
             println!(
                 "usage:\n  extrap trace <bench> <threads> [--scale tiny|small|paper] -o FILE\n  \
-                 extrap translate FILE -o FILE [--event-overhead US] [--switch-overhead US] \
-                 [--stream [--mem-budget BYTES]]\n  \
+                 extrap translate FILE -o FILE [--event-overhead US] [--switch-overhead US]\n  \
                  extrap simulate FILE [--machine distributed|shared|ideal|cm5] [--params FILE] \
                  [--set KEY=VALUE]... [--strategy exact|repr[:K[:TOL]]] [--check-bounds] \
-                 [--predicted FILE] [--stream]\n  \
+                 [--predicted FILE]\n  \
                  extrap analyze FILE|BENCH [--threads N] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--format text|json|csv] [--machine M] [--params FILE] [--set KEY=VALUE]...\n  \
                  extrap sweep <bench>[,<bench>...] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--machine M] [--params FILE] [--set KEY=VALUE]... \
-                 [--strategy exact|repr[:K[:TOL]]] [--jobs N] [--csv] [--check-bounds] \
-                 [--stream [--mem-budget BYTES]]\n  \
+                 [--strategy exact|repr[:K[:TOL]]] [--jobs N] [--csv] [--check-bounds]\n  \
                  extrap serve [--addr HOST:PORT] [--workers N] [--sweep-workers N] \
                  [--mem-budget-mb N] [--max-inflight N] [--max-conn-inflight N] \
                  [--max-connections N] [--timeout-ms N] [--batch-window-ms N] \
@@ -94,12 +90,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  extrap client stats [FILE --phases] [--addr HOST:PORT]\n  \
                  extrap client shutdown [--addr HOST:PORT]\n  \
                  extrap report FILE\n  \
-                 extrap stats FILE [--phases] [--max-clusters K] [--tolerance F] [--stream]\n  \
+                 extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]\n  \
                  extrap timeline FILE [--width N]\n  \
                  extrap check [FILE] [--scenarios] [--scenario NAME] [--replay CERT] \
                  [--schedules N] [--seed N] [--max-steps N]\n  \
                  extrap lint FILE|DIR... [--machine M] [--format text|json] [--jobs N] \
-                 [--deny-warnings] [--allow CODE]... [--stream]\n  \
+                 [--deny-warnings] [--allow CODE]...\n  \
                  extrap lint --fix FILE [--out FILE] [--dry-run] | extrap lint --codes\n  \
                  extrap diff FILE <machineA> <machineB>\n  \
                  extrap params [--machine M]\n  extrap benches"
@@ -197,34 +193,16 @@ fn cmd_translate(args: Vec<String>) -> Result<(), String> {
         event_overhead: parse_us(spec.value("--event-overhead")?, "event overhead")?,
         switch_overhead: parse_us(spec.value("--switch-overhead")?, "switch overhead")?,
     };
-    let (stream_mode, mem_budget) = take_streaming(&mut spec)?;
-    let [input] =
-        spec.finish_exact("extrap translate FILE -o FILE [--stream [--mem-budget BYTES]]")?;
+    let [input] = spec.finish_exact("extrap translate FILE -o FILE")?;
     let out: PathBuf = out.ok_or("translate: -o FILE is required")?.into();
-    let (n_threads, makespan) = if stream_mode {
-        // Fully out-of-core: epoch-translate the chunked input stream
-        // into per-thread spill runs (holding at most `mem_budget`
-        // translated bytes in memory) and replay them straight into the
-        // output file.  Bytes are identical to the whole-trace path.
-        let mut stream =
-            extrap_trace::stream::ProgramStream::open(&input).map_err(|e| e.to_string())?;
-        let n_threads = stream.n_threads();
-        let mut sink = MakespanSink {
-            inner: extrap_trace::SpillSink::new(n_threads, mem_budget),
-            makespan: TimeNs::ZERO,
-        };
-        extrap_trace::translate_stream(&mut stream, options, &mut sink)
-            .map_err(|e| e.to_string())?;
-        let makespan = sink.makespan;
-        sink.inner.write_set_file(&out).map_err(|e| e.to_string())?;
-        (n_threads, makespan)
-    } else {
-        let trace = extrap_trace::reader::read_program_file(&input).map_err(|e| e.to_string())?;
-        let set = extrap_trace::translate(&trace, options).map_err(|e| e.to_string())?;
-        extrap_trace::writer::write_set_file(&out, &set).map_err(|e| e.to_string())?;
-        (set.n_threads(), set.makespan())
-    };
-    println!("translated {n_threads} threads; idealized parallel makespan {makespan}");
+    let trace = extrap_trace::reader::read_program_file(&input).map_err(|e| e.to_string())?;
+    let set = extrap_trace::translate(&trace, options).map_err(|e| e.to_string())?;
+    extrap_trace::writer::write_set_file(&out, &set).map_err(|e| e.to_string())?;
+    println!(
+        "translated {} threads; idealized parallel makespan {}",
+        set.n_threads(),
+        set.makespan()
+    );
     Ok(())
 }
 
@@ -265,67 +243,16 @@ fn take_check_bounds(spec: &mut ArgSpec) -> bool {
     on
 }
 
-/// Default in-memory budget for `--stream` spill sinks: 64 MiB.
-const DEFAULT_STREAM_BUDGET: usize = 64 << 20;
-
-/// Takes `--stream [--mem-budget BYTES]` off a spec — the out-of-core
-/// ingestion opt-in shared by `translate`/`simulate`/`sweep`/`stats`/
-/// `lint`.  The budget defaults to [`DEFAULT_STREAM_BUDGET`] and only
-/// applies where there is something to bound (the translate spill sink,
-/// the sweep cache); subcommands whose streaming path is bounded by
-/// construction accept it for uniformity.
-fn take_streaming(spec: &mut ArgSpec) -> Result<(bool, usize), String> {
-    let stream = spec.switch("--stream");
-    let budget = spec.parsed::<usize>("--mem-budget")?;
-    if budget.is_some() && !stream {
-        return Err(format!("{}: --mem-budget requires --stream", spec.cmd()));
-    }
-    Ok((stream, budget.unwrap_or(DEFAULT_STREAM_BUDGET)))
-}
-
-/// A [`TranslateSink`] adapter that tracks the translated makespan (the
-/// maximum emitted timestamp) on the way through to `inner`, so the
-/// out-of-core `translate` can report the same summary line as the
-/// whole-trace path without re-reading its output.
-struct MakespanSink<S> {
-    inner: S,
-    makespan: TimeNs,
-}
-
-impl<S: TranslateSink> TranslateSink for MakespanSink<S> {
-    fn emit(&mut self, thread: usize, rec: TraceRecord) -> Result<(), extrap_trace::TraceError> {
-        if rec.time > self.makespan {
-            self.makespan = rec.time;
-        }
-        self.inner.emit(thread, rec)
-    }
-}
-
 fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("simulate", args);
     let params = load_params(&mut spec)?;
     take_check_bounds(&mut spec);
     let predicted_out = spec.value("--predicted")?;
-    let (stream_mode, _mem_budget) = take_streaming(&mut spec)?;
-    let [input] = spec.finish_exact("extrap simulate FILE [--machine M] [--stream]")?;
-    let pred = if stream_mode {
-        // Out-of-core: compile the op scripts straight off the chunked
-        // set stream (same invariants, same first error, identical
-        // program — so identical prediction) without ever holding the
-        // decoded `TraceSet`.  Decode memory is bounded by construction
-        // (one refill window), so `--mem-budget` has nothing to cap.
-        let mut stream =
-            extrap_trace::stream::SetStream::open(&input).map_err(|e| e.to_string())?;
-        let program = extrap_core::compile_set_stream(&mut stream).map_err(|e| e.to_string())?;
-        Extrapolator::new(params)
-            .run(&program)
-            .map_err(|e| e.to_string())?
-    } else {
-        let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
-        Extrapolator::new(params)
-            .run(&set)
-            .map_err(|e| e.to_string())?
-    };
+    let [input] = spec.finish_exact("extrap simulate FILE [--machine M]")?;
+    let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
+    let pred = Extrapolator::new(params)
+        .run(&set)
+        .map_err(|e| e.to_string())?;
     println!(
         "predicted execution time: {:.3} ms",
         pred.exec_time().as_ms()
@@ -512,7 +439,6 @@ pub(crate) fn render_sweep_rows(rows: &[(String, usize, f64)], procs: &[usize], 
 fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("sweep", args);
     take_check_bounds(&mut spec);
-    let (stream_mode, mem_budget) = take_streaming(&mut spec)?;
     let req = parse_sweep_request(spec)?;
 
     // The sweep report only prints times, so skip the predicted traces.
@@ -524,31 +450,10 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
         .params(params)
         .jobs();
     let cache = SharedTraceCache::new();
-    let results = if stream_mode {
-        // Out-of-core ingestion: each key's program is compiled through
-        // the fused translate→compile stream (no `ProgramTrace`, no
-        // `TraceSet`), and the cache is swept down to `--mem-budget`
-        // before each build so resident compiled programs stay bounded.
-        let cancel = extrap_core::CancelToken::new();
-        extrap_core::sweep_cancellable(&grid, req.jobs, &cancel, |key| {
-            cache.compile_streaming(key.clone(), || {
-                cache.evict_to_budget(mem_budget);
-                let bench = resolve_bench(&key.0).expect("benchmark validated above");
-                let bytes = extrap_trace::format::encode_program(&bench.trace(key.1, req.scale));
-                let mut stream = extrap_trace::stream::ProgramStream::new(
-                    extrap_trace::stream::SliceSource(&bytes),
-                )?;
-                let (program, _stats) =
-                    extrap_core::compile_program_stream(&mut stream, Default::default())?;
-                Ok(program)
-            })
-        })
-    } else {
-        extrap_core::sweep(&grid, req.jobs, &cache, |(name, n)| {
-            let bench = resolve_bench(name).expect("benchmark validated above");
-            extrap_trace::translate(&bench.trace(*n, req.scale), Default::default())
-        })
-    };
+    let results = extrap_core::sweep(&grid, req.jobs, &cache, |(name, n)| {
+        let bench = resolve_bench(name).expect("benchmark validated above");
+        extrap_trace::translate(&bench.trace(*n, req.scale), Default::default())
+    });
 
     let mut rows = Vec::new();
     for (job, result) in grid.iter().zip(results) {
@@ -598,12 +503,8 @@ fn cmd_stats(args: Vec<String>) -> Result<(), String> {
     let tolerance = spec
         .parsed::<f64>("--tolerance")?
         .unwrap_or(SimStrategy::DEFAULT_TOLERANCE);
-    // Accepted for pipeline uniformity: the set decoder already reads in
-    // bounded chunks, and the report itself needs every phase resident.
-    let (_stream_mode, _mem_budget) = take_streaming(&mut spec)?;
-    let [input] = spec.finish_exact(
-        "extrap stats FILE [--phases] [--max-clusters K] [--tolerance F] [--stream [--mem-budget BYTES]]",
-    )?;
+    let [input] =
+        spec.finish_exact("extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]")?;
     let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
     let opts = extrap_trace::ClusterOptions {
         max_clusters,
@@ -791,9 +692,6 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
     let fix = spec.switch("--fix");
     let dry_run = spec.switch("--dry-run");
     let out_path = spec.value("--out")?;
-    // Accepted for pipeline uniformity: the linter already runs its
-    // streaming machines over bounded chunks regardless of file size.
-    let (_stream_mode, _mem_budget) = take_streaming(&mut spec)?;
     if !fix && (dry_run || out_path.is_some()) {
         return Err("lint: --dry-run/--out only make sense with --fix".to_string());
     }

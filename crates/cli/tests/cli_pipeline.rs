@@ -69,6 +69,49 @@ fn full_pipeline_through_the_binary() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The committed example traces (`examples/traces/`).
+fn example(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/traces")
+        .join(name)
+}
+
+#[test]
+fn translate_matches_committed_golden_set() {
+    let dir = tmpdir("translate-golden");
+    let out_path = dir.join("grid4.xtps");
+    let out = extrap(&[
+        "translate",
+        example("grid4.xtrp").to_str().unwrap(),
+        "-o",
+        out_path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        std::fs::read(&out_path).unwrap(),
+        std::fs::read(example("grid4.xtps")).unwrap(),
+        "translate output must equal the committed grid4.xtps"
+    );
+
+    // A trace whose global clock runs backwards is refused, and the
+    // error names the file and the first offending record.
+    let corrupt = example("corrupt_time.xtrp");
+    let out = extrap(&[
+        "translate",
+        corrupt.to_str().unwrap(),
+        "-o",
+        dir.join("corrupt.xtps").to_str().unwrap(),
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(corrupt.to_str().unwrap()), "{err}");
+    assert!(
+        err.contains("global timestamp regression at record 167"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn simulate_honors_param_overrides() {
     let dir = tmpdir("overrides");

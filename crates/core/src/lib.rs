@@ -62,7 +62,7 @@ pub use processor::{CompiledProgram, CompiledThread, IncrementalCompiler};
 pub use repr::{ReprCluster, ReprPlan};
 pub use scalability::{Scalability, ScalePoint};
 pub use session::{Extrapolator, RunInput};
-pub use streaming::{compile_program_stream, compile_set_stream};
+pub use streaming::compile_program_stream;
 pub use sweep::{
     claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace,
     CancelToken, SharedTraceCache, SweepError, SweepGrid, SweepJob, TraceValidator,

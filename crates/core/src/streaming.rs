@@ -1,23 +1,15 @@
-//! Out-of-core trace→program compilation: one-pass pipelines that fold
-//! a chunked trace stream straight into a [`CompiledProgram`].
+//! Out-of-core trace→program compilation: a one-pass pipeline that
+//! folds a chunked raw-trace stream straight into a [`CompiledProgram`].
 //!
 //! The whole-trace path materializes three containers on the way to a
-//! simulation — `ProgramTrace` → `TraceSet` → `CompiledProgram` — so
-//! trace size, not simulation cost, bounds the inputs a host can
-//! extrapolate.  These entry points keep only the streaming machinery
+//! simulation — `ProgramTrace` → `TraceSet` → `CompiledProgram`.
+//! [`compile_program_stream`] keeps only the streaming machinery
 //! resident (decode window + epoch translator + per-thread fold state,
 //! O(threads + live-epoch)) plus the compiled program itself, which is
-//! the pipeline's product:
+//! the pipeline's product: the [`EpochTranslator`] feeds an
+//! [`IncrementalCompiler`] directly and nothing intermediate is held.
 //!
-//! * [`compile_program_stream`] — raw 1-processor trace (`XTRP`) in,
-//!   compiled program out, translation fused in ([`EpochTranslator`]
-//!   feeding an [`IncrementalCompiler`]); nothing intermediate is held.
-//! * [`compile_set_stream`] — already-translated set (`XTPS`) in,
-//!   compiled program out, enforcing exactly the invariants
-//!   `TraceSet::validate` enforces (and in the same order, so a corrupt
-//!   file reports the same first error either way).
-//!
-//! Both produce programs byte-identical to the whole-trace path by
+//! The result is byte-identical to the whole-trace path by
 //! construction: the per-record fold is shared (see
 //! [`IncrementalCompiler`]), and `extrap_trace::translate` is itself an
 //! adapter over the same epoch translator.
@@ -25,9 +17,8 @@
 //! [`EpochTranslator`]: extrap_trace::EpochTranslator
 
 use crate::processor::{CompiledProgram, IncrementalCompiler};
-use extrap_time::{BarrierId, ThreadId, TimeNs};
-use extrap_trace::stream::{ChunkSource, ProgramStream, SetChunk, SetStream};
-use extrap_trace::{translate_stream, EventKind, TraceError, TranslateOptions, TranslateStats};
+use extrap_trace::stream::{ChunkSource, ProgramStream};
+use extrap_trace::{translate_stream, TraceError, TranslateOptions, TranslateStats};
 
 /// Translates and compiles a raw program-trace stream in one pass.
 ///
@@ -44,91 +35,6 @@ pub fn compile_program_stream<S: ChunkSource>(
     let mut compiler = IncrementalCompiler::new(stream.n_threads());
     let stats = translate_stream(stream, options, &mut compiler)?;
     Ok((compiler.finish(), stats))
-}
-
-/// Compiles an already-translated trace-set stream in one pass.
-///
-/// Equivalent to [`CompiledProgram::compile`] on the fully decoded set:
-/// the structural invariants (`TraceSet::validate`) are enforced
-/// record-by-record in the same order, so an invalid file fails with
-/// the identical first error, and a valid one compiles to the identical
-/// program.
-pub fn compile_set_stream<S: ChunkSource>(
-    stream: &mut SetStream<S>,
-) -> Result<CompiledProgram, TraceError> {
-    let mut compiler = IncrementalCompiler::new(stream.n_threads());
-    // `TraceSet::validate` state, maintained streamingly: thread 0's
-    // barrier sequence is the reference every later segment is compared
-    // against when it ends.
-    let mut reference: Vec<BarrierId> = Vec::new();
-    let mut seq: Vec<BarrierId> = Vec::new();
-    let mut segment: Option<(usize, ThreadId)> = None;
-    let mut prev = TimeNs::ZERO;
-    let mut rec_idx = 0usize;
-    loop {
-        match stream.next_chunk()? {
-            None => break,
-            Some(SetChunk::Thread {
-                position, thread, ..
-            }) => {
-                end_segment(&mut segment, &mut reference, &mut seq)?;
-                if thread.index() != position {
-                    return Err(TraceError::MisplacedThread { position, thread });
-                }
-                segment = Some((position, thread));
-                prev = TimeNs::ZERO;
-                rec_idx = 0;
-            }
-            Some(SetChunk::Records(recs)) => {
-                let Some((position, thread)) = segment else {
-                    return Err(TraceError::Format {
-                        detail: "records before any segment header".to_string(),
-                    });
-                };
-                for rec in recs {
-                    if rec.time < prev {
-                        return Err(TraceError::ThreadTimeRegression {
-                            thread,
-                            record: rec_idx,
-                        });
-                    }
-                    prev = rec.time;
-                    if rec.thread != thread {
-                        return Err(TraceError::MisplacedThread {
-                            position,
-                            thread: rec.thread,
-                        });
-                    }
-                    if let EventKind::BarrierEnter { barrier } = rec.kind {
-                        seq.push(barrier);
-                    }
-                    compiler.emit_record(position, rec)?;
-                    rec_idx += 1;
-                }
-            }
-        }
-    }
-    end_segment(&mut segment, &mut reference, &mut seq)?;
-    Ok(compiler.finish())
-}
-
-/// Closes out the current segment: thread 0's barrier sequence becomes
-/// the reference, every later thread's must match it.
-fn end_segment(
-    segment: &mut Option<(usize, ThreadId)>,
-    reference: &mut Vec<BarrierId>,
-    seq: &mut Vec<BarrierId>,
-) -> Result<(), TraceError> {
-    let Some((position, thread)) = segment.take() else {
-        return Ok(());
-    };
-    if position == 0 {
-        *reference = std::mem::take(seq);
-    } else if seq != reference {
-        return Err(TraceError::BarrierMismatch { thread });
-    }
-    seq.clear();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -171,17 +77,6 @@ mod tests {
         assert_eq!(stats.records, pt.records.len() as u64);
     }
 
-    #[test]
-    fn set_stream_compiles_identically() {
-        let pt = skewed_program(4);
-        let set = translate(&pt, TranslateOptions::default()).unwrap();
-        let expected = CompiledProgram::compile(&set).unwrap();
-        let bytes = format::encode_set(&set);
-        let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
-        let program = compile_set_stream(&mut stream).unwrap();
-        assert_eq!(program, expected);
-    }
-
     /// The machinery-residency probe (mirroring the streaming-lint
     /// probe): growing the record count ~10x by adding epochs — same
     /// per-epoch structure — must not grow the translate machinery's
@@ -207,23 +102,5 @@ mod tests {
             "streaming pipeline residency grew with record count: \
              {small_peak} -> {big_peak} bytes for {small_len} -> {big_len} records"
         );
-    }
-
-    #[test]
-    fn set_stream_rejects_what_validate_rejects() {
-        let pt = skewed_program(2);
-        let mut set = translate(&pt, TranslateOptions::default()).unwrap();
-        // Corrupt thread 2's barrier sequence.
-        for rec in &mut set.threads[2].records {
-            if let EventKind::BarrierEnter { barrier } = &mut rec.kind {
-                *barrier = BarrierId(barrier.0 + 7);
-            }
-        }
-        let whole = CompiledProgram::compile(&set).unwrap_err();
-        let bytes = format::encode_set(&set);
-        let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
-        let streamed = compile_set_stream(&mut stream).unwrap_err();
-        assert_eq!(whole.to_string(), streamed.to_string());
-        assert!(matches!(streamed, TraceError::BarrierMismatch { .. }));
     }
 }

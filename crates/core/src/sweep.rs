@@ -69,19 +69,17 @@ use std::sync::{mpsc, Arc};
 // Concurrent trace cache
 // ---------------------------------------------------------------------
 
-/// A compiled program, optionally together with the translated trace
-/// set it came from.
+/// A translated trace set together with its compiled program.
 ///
 /// Compilation is parameter-independent (see [`CompiledProgram`]), so
 /// the cache builds the entry once per key and every parameter set of
-/// the grid replays the same `Arc<CachedTrace>`.  Entries built by the
-/// out-of-core pipeline ([`SharedTraceCache::compile_streaming`]) carry
-/// only the program — the [`TraceSet`] was never materialized — so
-/// [`traces`](CachedTrace::traces) is an `Option`; the simulation paths
-/// (exact and representative) read only the program.
+/// the grid replays the same `Arc<CachedTrace>`.  The simulation paths
+/// (exact and representative) read only the program; trace-level
+/// consumers (per-thread stats, phase analysis, the refsim oracle) read
+/// the set.
 #[derive(Debug)]
 pub struct CachedTrace {
-    traces: Option<TraceSet>,
+    traces: TraceSet,
     program: CompiledProgram,
     /// Representative-region plans, memoized per strategy knob pair
     /// `(max_clusters, tolerance.to_bits())`.  A plan depends only on
@@ -109,19 +107,7 @@ impl CachedTrace {
     /// [`CompiledProgram::compile`] yields for `traces`).
     pub fn from_parts(traces: TraceSet, program: CompiledProgram) -> CachedTrace {
         CachedTrace {
-            traces: Some(traces),
-            program,
-            repr_plans: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Wraps a program compiled out-of-core: no trace set was ever
-    /// materialized, so [`traces`](CachedTrace::traces) is `None` and
-    /// trace-level consumers (per-thread stats, phase analysis) are not
-    /// served by this entry.
-    pub fn from_program(program: CompiledProgram) -> CachedTrace {
-        CachedTrace {
-            traces: None,
+            traces,
             program,
             repr_plans: RwLock::new(HashMap::new()),
         }
@@ -141,10 +127,11 @@ impl CachedTrace {
         self.repr_plans.write().entry(key).or_insert(plan).clone()
     }
 
-    /// The translated per-thread traces, if this entry holds them
-    /// (`None` for entries compiled out-of-core).
+    /// The translated per-thread traces.  Every entry holds them, so
+    /// this is always `Some`; the `Option` keeps existing callers'
+    /// signatures.
     pub fn traces(&self) -> Option<&TraceSet> {
-        self.traces.as_ref()
+        Some(&self.traces)
     }
 
     /// The compiled per-thread op scripts.
@@ -157,11 +144,10 @@ impl CachedTrace {
         self.program.n_threads()
     }
 
-    /// Approximate heap footprint (traces, when held, + compiled
-    /// scripts) in bytes — what a cache memory budget is charged for
-    /// holding this entry.
+    /// Approximate heap footprint (traces + compiled scripts) in bytes
+    /// — what a cache memory budget is charged for holding this entry.
     pub fn resident_bytes(&self) -> usize {
-        self.traces.as_ref().map_or(0, |t| t.resident_bytes()) + self.program.resident_bytes()
+        self.traces.resident_bytes() + self.program.resident_bytes()
     }
 }
 
@@ -340,42 +326,6 @@ impl<K: Eq + Hash + Clone> SharedTraceCache<K> {
         });
         match outcome {
             Ok(ts) => Ok(ts),
-            Err(detail) => Err(ExtrapError::Trace(TraceError::Format { detail })),
-        }
-    }
-
-    /// The out-of-core sibling of
-    /// [`get_or_translate`](Self::get_or_translate): the first requester
-    /// runs `build` — conventionally a streaming pipeline producing a
-    /// [`CompiledProgram`] without materializing the trace (see
-    /// `crate::streaming`) — and every later requester shares the entry.
-    ///
-    /// Keys are shared with the whole-trace path: whichever of the two
-    /// builds a key first wins, and the other path reuses its entry, so
-    /// sweep/serve/repr consumers inherit streaming ingestion with no
-    /// key-space changes.  The cache's [`TraceValidator`] hook does
-    /// **not** run here (it takes a `&TraceSet`, which this path never
-    /// holds) — streaming callers lint at ingestion with the streaming
-    /// lint machines instead.
-    pub fn compile_streaming(
-        &self,
-        key: K,
-        build: impl FnOnce() -> Result<CompiledProgram, TraceError>,
-    ) -> Result<Arc<CachedTrace>, ExtrapError> {
-        let slot = self.slot(key);
-        slot.last_used.store(
-            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        let outcome = slot.get_or_init(|| {
-            self.translations.fetch_add(1, Ordering::Relaxed);
-            build()
-                .map(CachedTrace::from_program)
-                .map(Arc::new)
-                .map_err(|e| e.to_string())
-        });
-        match outcome {
-            Ok(ct) => Ok(ct),
             Err(detail) => Err(ExtrapError::Trace(TraceError::Format { detail })),
         }
     }
@@ -753,12 +703,11 @@ impl CancelToken {
 
 /// The general sweep: runs every job across `workers` threads with
 /// cooperative cancellation, fetching each job's trace through `entry`
-/// — conventionally a cache lookup such as
-/// [`SharedTraceCache::get_or_translate`] (whole traces, what [`sweep`]
-/// passes) or [`SharedTraceCache::compile_streaming`] (out-of-core
-/// ingestion).  Jobs sharing a cache entry share its compiled program
-/// and memoized representative plans, so clustering runs once per trace
-/// for every parameter set and worker touching it.
+/// — conventionally a [`SharedTraceCache::get_or_translate`] lookup,
+/// which is what [`sweep`] passes.  Jobs sharing a cache entry share
+/// its compiled program and memoized representative plans, so
+/// clustering runs once per trace for every parameter set and worker
+/// touching it.
 ///
 /// Jobs not yet started when `cancel` fires fail with
 /// [`ExtrapError::Cancelled`] (carrying their key); jobs already

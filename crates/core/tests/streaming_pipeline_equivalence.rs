@@ -1,27 +1,24 @@
-//! Property test: the out-of-core streaming pipeline is byte- and
-//! metric-identical to the whole-trace path across random programs ×
-//! stream chunk/window geometries × spill budgets (including a budget
-//! so small every batch spills).
+//! Property test: the streaming pipeline is byte- and metric-identical
+//! to the whole-trace path across random programs × stream chunk/window
+//! geometries.
 //!
-//! Three equivalences are checked per case:
-//! * spill/merge translate (`translate_stream` into a [`SpillSink`],
-//!   replayed to an `XTPS` file) produces exactly the bytes
+//! Two equivalences are checked per case:
+//! * streaming translate (`translate_stream` into a closure sink that
+//!   regroups records per thread) produces exactly the bytes
 //!   `encode_set(translate(whole_trace))` produces;
 //! * the fused translate+compile ([`compile_program_stream`]) produces
-//!   a [`CompiledProgram`] equal to compiling the whole-trace set;
-//! * compiling the translated set from a chunked stream
-//!   ([`compile_set_stream`]) produces the same program — and, spot
-//!   checked, the same extrapolated prediction.
+//!   a [`CompiledProgram`] equal to compiling the whole-trace set — and,
+//!   spot checked, the same extrapolated prediction.
 //!
 //! Driven by a deterministic SplitMix64 case generator instead of
 //! `proptest` (crates.io is unreachable in the build environment).
 
-use extrap_core::{compile_program_stream, compile_set_stream, machine, CompiledProgram};
+use extrap_core::{compile_program_stream, machine, CompiledProgram};
 use extrap_time::{DurationNs, ElementId, ThreadId};
-use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena};
+use extrap_trace::stream::{ProgramStream, SliceSource, StreamArena};
 use extrap_trace::{
     format, translate, translate_stream, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace,
-    SpillSink, TranslateOptions,
+    ThreadTrace, TraceRecord, TraceSet, TranslateOptions,
 };
 
 const CASES: u64 = 96;
@@ -85,29 +82,16 @@ fn random_options(rng: &mut Rng) -> TranslateOptions {
     }
 }
 
-/// A spill budget per case: a third of the cases use 0 (every batch
-/// spills), a third a tiny budget around one batch, a third unbounded.
-fn random_budget(rng: &mut Rng) -> usize {
-    match rng.next() % 3 {
-        0 => 0,
-        1 => rng.range(64, 2048) as usize,
-        _ => usize::MAX,
-    }
-}
-
 #[test]
 fn streaming_pipeline_matches_whole_trace_path() {
-    let out =
-        std::env::temp_dir().join(format!("extrap-pipeline-prop-{}.xtps", std::process::id()));
     for case in 0..CASES {
         let mut rng = Rng(0x51_7EA4 ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
         let pt = random_program(&mut rng);
         let opts = random_options(&mut rng);
         let window = rng.range(32, 4096) as usize;
         let chunk = rng.range(1, 64) as usize;
-        let budget = random_budget(&mut rng);
         let what = format!(
-            "case {case}: {} threads, {} records, window {window}, chunk {chunk}, budget {budget}",
+            "case {case}: {} threads, {} records, window {window}, chunk {chunk}",
             pt.n_threads,
             pt.records.len()
         );
@@ -118,23 +102,30 @@ fn streaming_pipeline_matches_whole_trace_path() {
         let expected_program = CompiledProgram::compile(&expected_set).unwrap();
         let raw = format::encode_program(&pt);
 
-        // Spill/merge translate to disk: byte-identical output file.
+        // Streaming translate, regrouped per thread: identical bytes.
         let mut stream =
             ProgramStream::with_options(SliceSource(&raw), StreamArena::new(), window, chunk)
                 .unwrap();
-        let mut sink = SpillSink::new(stream.n_threads(), budget);
+        let mut runs: Vec<Vec<TraceRecord>> = vec![Vec::new(); stream.n_threads()];
+        let mut sink = |t: usize, rec: TraceRecord| {
+            runs[t].push(rec);
+            Ok(())
+        };
         translate_stream(&mut stream, opts, &mut sink).unwrap();
-        if budget == 0 && !pt.records.is_empty() {
-            assert!(
-                sink.spill_count() > 0,
-                "budget 0 must spill every batch ({what})"
-            );
-        }
-        sink.write_set_file(&out).unwrap();
+        let streamed_set = TraceSet {
+            threads: runs
+                .into_iter()
+                .enumerate()
+                .map(|(i, records)| ThreadTrace {
+                    thread: ThreadId::from_index(i),
+                    records,
+                })
+                .collect(),
+        };
         assert_eq!(
-            std::fs::read(&out).unwrap(),
+            format::encode_set(&streamed_set),
             expected_bytes,
-            "spilled set file differs from whole-trace bytes ({what})"
+            "streamed set differs from whole-trace bytes ({what})"
         );
 
         // Fused translate+compile: equal program, all records seen.
@@ -144,20 +135,6 @@ fn streaming_pipeline_matches_whole_trace_path() {
         let (program, stats) = compile_program_stream(&mut stream, opts).unwrap();
         assert_eq!(program, expected_program, "fused compile differs ({what})");
         assert_eq!(stats.records, pt.records.len() as u64, "{what}");
-
-        // Set-stream compile over the translated bytes: equal program.
-        let mut stream = SetStream::with_options(
-            SliceSource(&expected_bytes),
-            StreamArena::new(),
-            window,
-            chunk,
-        )
-        .unwrap();
-        let from_set = compile_set_stream(&mut stream).unwrap();
-        assert_eq!(
-            from_set, expected_program,
-            "set-stream compile differs ({what})"
-        );
 
         // Spot-check metric identity end to end: the streamed program
         // extrapolates to the identical prediction.
@@ -177,5 +154,4 @@ fn streaming_pipeline_matches_whole_trace_path() {
             assert_eq!(whole.predicted, streamed.predicted, "{what}");
         }
     }
-    let _ = std::fs::remove_file(&out);
 }

@@ -21,9 +21,10 @@
 //! Findings are [`Diagnostic`]s with **stable codes** (`E001`–`E009`,
 //! `W001`–`W004`; see [`Code`]), rendered as compiler-style text or
 //! JSON ([`render`]).  The `extrap lint` subcommand drives this crate
-//! from the command line; [`validate_program`] / [`validate_set`] plug
-//! it into the trace reader's and [`SharedTraceCache`]'s opt-in
-//! validate-on-load hooks.
+//! from the command line; [`validate_set`] plugs it into
+//! [`SharedTraceCache`]'s opt-in validate-on-translate hook, and
+//! [`validate_program`] is the same reject-on-errors check for raw
+//! program traces.
 //!
 //! [`SharedTraceCache`]: extrap_core::SharedTraceCache
 
@@ -127,10 +128,9 @@ pub fn lint_params(params: &SimParams) -> Report {
     Linter::new().lint_params(params)
 }
 
-/// Validate-on-load adapter for program traces: `Err` with the rendered
-/// error diagnostics when the default registry finds any, for
-/// [`extrap_trace::reader::read_program_with`] and friends.  Warnings do
-/// not fail the load.
+/// Reject-on-errors check for program traces: `Err` with the rendered
+/// error diagnostics when the default registry finds any.  Warnings do
+/// not fail the check.
 pub fn validate_program(trace: &ProgramTrace) -> Result<(), String> {
     reject_on_errors(lint_program(trace))
 }

@@ -33,7 +33,7 @@ pub fn summary_line(report: &Report) -> String {
 }
 
 /// A compact multi-line summary of the errors only — used by the
-/// validate-on-load hooks, whose rejection detail becomes the
+/// validate-on-translate hook, whose rejection detail becomes the
 /// `TraceError::Validation` message.
 pub fn render_errors(report: &Report) -> String {
     let lines: Vec<String> = report

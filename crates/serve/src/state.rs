@@ -528,23 +528,20 @@ impl Session {
             return err(ErrorCode::ShuttingDown, "server is draining");
         }
         let built = match payload.get(..4) {
-            // Raw traces stream through the epoch translator instead of
-            // materializing the whole `ProgramTrace` first: admission
-            // peak memory is the payload plus the translated set, not
-            // payload + decoded records + set.  The set itself is kept —
-            // `Phases`/`Stats` requests read it.
-            Some(b"XTRP") => extrap_trace::stream::ProgramStream::new(
-                extrap_trace::stream::SliceSource(&payload),
-            )
-            .and_then(|mut stream| {
-                self.service
-                    .counters
-                    .submit_translations
-                    .fetch_add(1, Ordering::Relaxed);
-                extrap_trace::translate_stream_to_set(&mut stream, Default::default(), usize::MAX)
-            })
-            .map_err(|e| e.to_string())
-            .and_then(|(set, _stats)| CachedTrace::new(set).map_err(|e| e.to_string())),
+            // Raw traces are translated server-side through the same
+            // `translate` (validate + barrier precheck) as local
+            // `extrap translate`, so errors read the same.  The set is
+            // kept — `Phases`/`Stats` requests read it.
+            Some(b"XTRP") => extrap_trace::format::decode_program(&payload)
+                .and_then(|trace| {
+                    self.service
+                        .counters
+                        .submit_translations
+                        .fetch_add(1, Ordering::Relaxed);
+                    extrap_trace::translate(&trace, Default::default())
+                })
+                .and_then(CachedTrace::new)
+                .map_err(|e| e.to_string()),
             Some(b"XTPS") => extrap_trace::format::decode_set(&payload)
                 .and_then(CachedTrace::new)
                 .map_err(|e| e.to_string()),
@@ -757,15 +754,7 @@ impl Session {
             max_clusters: max_clusters as usize,
             tolerance,
         };
-        let Some(traces) = cached.traces() else {
-            return err(
-                ErrorCode::BadRequest,
-                format!(
-                    "trace #{} was compiled out-of-core and holds no per-thread traces",
-                    trace.0
-                ),
-            );
-        };
+        let traces = cached.traces().expect("cache entries hold their trace set");
         Response::Phases {
             text: extrap_trace::render_stats_report(traces, phases, &opts),
         }

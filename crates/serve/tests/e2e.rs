@@ -119,12 +119,33 @@ fn submit_and_simulate_matches_in_process_extrapolator() {
 fn submitting_a_program_trace_translates_server_side() {
     let server = start(ServeConfig::default());
     let mut client = connect(&server);
-    let trace = Bench::Poisson.trace(2, Scale::Tiny);
-    let bytes = extrap_trace::format::encode_program(&trace);
-    let (id, n_threads, _) = client.submit_trace("poisson-xtrp", bytes).unwrap();
-    assert_eq!(n_threads, 2);
-    let pred = client.simulate(id, "").unwrap();
-    assert!(pred.exec_time_ns > 0);
+    let trace = Bench::Poisson.trace(4, Scale::Tiny);
+    let set = extrap_trace::translate(&trace, Default::default()).unwrap();
+    let mut params = machine::default_distributed();
+    params.record_mode = RecordMode::MetricsOnly;
+    let local = Extrapolator::new(params).run(&set).unwrap();
+
+    // The raw trace (translated by the daemon) and the locally
+    // translated set must both answer exactly what the in-process
+    // extrapolator predicts, to the nanosecond, and hold the same bytes.
+    let images = [
+        ("poisson-xtrp", extrap_trace::format::encode_program(&trace)),
+        ("poisson-xtps", extrap_trace::format::encode_set(&set)),
+    ];
+    let mut residents = Vec::new();
+    for (name, bytes) in images {
+        let (id, n_threads, resident) = client.submit_trace(name, bytes).unwrap();
+        residents.push(resident);
+        assert_eq!(n_threads, 4, "{name}");
+        let pred = client.simulate(id, "").unwrap();
+        assert_eq!(pred.exec_time_ns, local.exec_time().as_ns(), "{name}");
+        assert_eq!(pred.barriers, local.barriers as u64, "{name}");
+        assert_eq!(pred.messages, local.network.messages, "{name}");
+    }
+    assert_eq!(
+        residents[0], residents[1],
+        "XTRP and XTPS entries differ in size"
+    );
     let stats = client.stats().unwrap();
     assert!(stats.translations >= 1, "XTRP submit runs a translation");
     server.shutdown_and_join();
@@ -161,16 +182,35 @@ fn bad_requests_are_rejected_with_typed_errors() {
         }
     ));
 
-    let e = client
-        .submit_trace("garbage", b"not a trace".to_vec())
-        .unwrap_err();
-    assert!(matches!(
-        e,
-        ClientError::Server {
-            code: ErrorCode::BadRequest,
-            ..
-        }
-    ));
+    // Header-only images whose declared counts promise far more bytes
+    // than were sent: rejected as truncated, not trusted to size
+    // allocations.
+    let mut header_only_program = b"XTRP".to_vec();
+    header_only_program.extend_from_slice(&1u16.to_le_bytes());
+    header_only_program.extend_from_slice(&4u32.to_le_bytes());
+    header_only_program.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    let mut header_only_set = b"XTPS".to_vec();
+    header_only_set.extend_from_slice(&1u16.to_le_bytes());
+    header_only_set.extend_from_slice(&u32::MAX.to_le_bytes());
+    header_only_set.extend_from_slice(&0u32.to_le_bytes());
+    header_only_set.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    for (payload, why) in [
+        (b"not a trace".to_vec(), "expected XTRP or XTPS magic"),
+        (header_only_program, "truncated while reading record header"),
+        (header_only_set, "truncated while reading record header"),
+    ] {
+        let e = client.submit_trace("garbage", payload).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                ClientError::Server {
+                    code: ErrorCode::BadRequest,
+                    ref detail
+                } if detail.contains(why)
+            ),
+            "got {e:?}"
+        );
+    }
 
     // Fetching a never-issued job is UnknownJob, not a hang.
     match client

@@ -30,6 +30,20 @@ pub const SET_MAGIC: &[u8; 4] = b"XTPS";
 /// Current format version.
 pub const VERSION: u16 = 1;
 
+/// Encoded size of the smallest record: a payload-free thread begin
+/// or end (time u64 + thread u32 + kind u8).
+pub(crate) const MIN_RECORD_BYTES: usize = 8 + 4 + 1;
+/// Encoded size of a trace-set segment header (thread u32 + count u64).
+pub(crate) const SEGMENT_HEADER_BYTES: usize = 4 + 8;
+
+/// How many items to pre-allocate for a header that declares
+/// `declared` of them when only `remaining` input bytes are left: no
+/// more than those bytes can encode at `min_bytes` each, so a forged
+/// count cannot make a decoder allocate ahead of its input.
+pub(crate) fn capacity_hint(declared: u64, remaining: usize, min_bytes: usize) -> usize {
+    declared.min((remaining / min_bytes) as u64) as usize
+}
+
 const KIND_BEGIN: u8 = 0;
 const KIND_END: u8 = 1;
 const KIND_BARRIER_ENTER: u8 = 2;
@@ -168,8 +182,9 @@ pub fn decode_program(data: &[u8]) -> Result<ProgramTrace, TraceError> {
 pub fn decode_program_raw(mut data: &[u8]) -> Result<ProgramTrace, TraceError> {
     check_header(&mut data, PROGRAM_MAGIC)?;
     let n_threads = get_u32(&mut data, "thread count")? as usize;
-    let n_records = get_u64(&mut data, "record count")? as usize;
-    let mut records = Vec::with_capacity(n_records.min(1 << 20));
+    let n_records = get_u64(&mut data, "record count")?;
+    let mut records =
+        Vec::with_capacity(capacity_hint(n_records, data.remaining(), MIN_RECORD_BYTES));
     for _ in 0..n_records {
         records.push(decode_record(&mut data)?);
     }
@@ -210,11 +225,16 @@ pub fn decode_set(data: &[u8]) -> Result<TraceSet, TraceError> {
 pub fn decode_set_raw(mut data: &[u8]) -> Result<TraceSet, TraceError> {
     check_header(&mut data, SET_MAGIC)?;
     let n_threads = get_u32(&mut data, "thread count")? as usize;
-    let mut threads = Vec::with_capacity(n_threads.min(1 << 16));
+    let mut threads = Vec::with_capacity(capacity_hint(
+        n_threads as u64,
+        data.remaining(),
+        SEGMENT_HEADER_BYTES,
+    ));
     for _ in 0..n_threads {
         let thread = ThreadId(get_u32(&mut data, "thread id")?);
-        let n_records = get_u64(&mut data, "record count")? as usize;
-        let mut records = Vec::with_capacity(n_records.min(1 << 20));
+        let n_records = get_u64(&mut data, "record count")?;
+        let mut records =
+            Vec::with_capacity(capacity_hint(n_records, data.remaining(), MIN_RECORD_BYTES));
         for _ in 0..n_records {
             records.push(decode_record(&mut data)?);
         }
@@ -366,6 +386,53 @@ mod tests {
         let mut bytes = encode_program(&sample_program());
         bytes.push(0);
         assert!(decode_program(&bytes).is_err());
+    }
+
+    #[test]
+    fn capacity_hint_is_bounded_by_remaining_bytes() {
+        assert_eq!(capacity_hint(1 << 40, 0, MIN_RECORD_BYTES), 0);
+        assert_eq!(capacity_hint(1 << 40, 130, MIN_RECORD_BYTES), 10);
+        assert_eq!(capacity_hint(4, 1 << 20, MIN_RECORD_BYTES), 4);
+        assert_eq!(capacity_hint(u64::MAX, 24, SEGMENT_HEADER_BYTES), 2);
+        // The smallest record really is MIN_RECORD_BYTES long.
+        let mut buf = Vec::new();
+        encode_record(
+            &mut buf,
+            &TraceRecord {
+                time: TimeNs(1),
+                thread: ThreadId(0),
+                kind: EventKind::ThreadEnd,
+            },
+        );
+        assert_eq!(buf.len(), MIN_RECORD_BYTES);
+    }
+
+    #[test]
+    fn forged_record_counts_fail_as_truncation() {
+        // An 18-byte program header claiming 2^40 records, and a set
+        // whose one segment claims as many: both must fail on the
+        // missing first record, not on an allocation sized by the claim.
+        let mut program = Vec::new();
+        program.put_slice(PROGRAM_MAGIC);
+        program.put_u16_le(VERSION);
+        program.put_u32_le(1);
+        program.put_u64_le(1 << 40);
+        let err = decode_program_raw(&program).unwrap_err().to_string();
+        assert!(
+            err.contains("truncated while reading record header"),
+            "{err}"
+        );
+        let mut set = Vec::new();
+        set.put_slice(SET_MAGIC);
+        set.put_u16_le(VERSION);
+        set.put_u32_le(u32::MAX);
+        set.put_u32_le(0);
+        set.put_u64_le(1 << 40);
+        let err = decode_set_raw(&set).unwrap_err().to_string();
+        assert!(
+            err.contains("truncated while reading record header"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -38,9 +38,8 @@ pub use phases::{
 pub use stats::{ThreadStats, TraceStats};
 pub use stream::{
     sniff_kind, ChunkSource, FileSource, ProgramStream, ReadSource, SetChunk, SetStream,
-    SliceSource, SpillSink, StreamArena, TraceKind,
+    SliceSource, StreamArena, TraceKind,
 };
 pub use translate::{
-    translate, translate_stream, translate_stream_to_set, EpochTranslator, TranslateOptions,
-    TranslateSink, TranslateStats,
+    translate, translate_stream, EpochTranslator, TranslateOptions, TranslateSink, TranslateStats,
 };

@@ -21,13 +21,10 @@ use crate::bytesio::Buf;
 use crate::error::TraceError;
 use crate::event::{ProgramTrace, ThreadTrace, TraceRecord, TraceSet};
 use crate::format;
-use crate::translate::TranslateSink;
 use extrap_time::ThreadId;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::mem::size_of;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Attaches a file path to errors of streams opened from disk; in-memory
 /// streams (`context == None`) keep byte-identical slurp-decoder messages.
@@ -347,7 +344,13 @@ impl<S: ChunkSource> ProgramStream<S> {
     /// Drains the stream into an owned [`ProgramTrace`] (no invariant
     /// checks — the streaming counterpart of `decode_program_raw`).
     pub fn read_to_end(&mut self) -> Result<ProgramTrace, TraceError> {
-        let mut records = Vec::with_capacity((self.n_records as usize).min(1 << 20));
+        // Only the buffered bytes are known to exist; the vector grows
+        // past them as more arrive.
+        let mut records = Vec::with_capacity(format::capacity_hint(
+            self.n_records,
+            self.feed.available().len(),
+            format::MIN_RECORD_BYTES,
+        ));
         while let Some(chunk) = self.next_chunk()? {
             records.extend_from_slice(chunk);
         }
@@ -517,16 +520,27 @@ impl<S: ChunkSource> SetStream<S> {
     /// Drains the stream into an owned [`TraceSet`] (no invariant
     /// checks — the streaming counterpart of `decode_set_raw`).
     pub fn read_to_end(&mut self) -> Result<TraceSet, TraceError> {
-        let mut threads: Vec<ThreadTrace> = Vec::with_capacity(self.n_threads.min(1 << 16));
+        let mut threads: Vec<ThreadTrace> = Vec::with_capacity(format::capacity_hint(
+            self.n_threads as u64,
+            self.feed.available().len(),
+            format::SEGMENT_HEADER_BYTES,
+        ));
         loop {
             match self.next_chunk()? {
                 None => break,
                 Some(SetChunk::Thread {
                     thread, n_records, ..
-                }) => threads.push(ThreadTrace {
-                    thread,
-                    records: Vec::with_capacity((n_records as usize).min(1 << 20)),
-                }),
+                }) => {
+                    let capacity = format::capacity_hint(
+                        n_records,
+                        self.feed.available().len(),
+                        format::MIN_RECORD_BYTES,
+                    );
+                    threads.push(ThreadTrace {
+                        thread,
+                        records: Vec::with_capacity(capacity),
+                    });
+                }
                 Some(SetChunk::Records(recs)) => {
                     if let Some(t) = threads.last_mut() {
                         t.records.extend_from_slice(recs);
@@ -599,266 +613,6 @@ pub fn sniff_kind(path: impl AsRef<Path>) -> io::Result<Option<TraceKind>> {
     } else {
         None
     })
-}
-
-// ---------------------------------------------------------------------
-// Spill-backed translation output
-// ---------------------------------------------------------------------
-
-static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A process-unique temp directory holding per-thread spill runs;
-/// removed (best-effort) on drop.
-#[derive(Debug)]
-pub struct SpillDir {
-    root: PathBuf,
-}
-
-impl SpillDir {
-    /// Creates a fresh spill directory under the system temp dir.
-    pub fn new() -> io::Result<SpillDir> {
-        let seq = SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let root = std::env::temp_dir().join(format!("extrap-spill-{}-{seq}", std::process::id()));
-        std::fs::create_dir_all(&root)?;
-        Ok(SpillDir { root })
-    }
-
-    /// The directory path.
-    pub fn path(&self) -> &Path {
-        &self.root
-    }
-
-    fn run_file(&self, thread: usize) -> io::Result<File> {
-        OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(self.root.join(format!("thread-{thread}.run")))
-    }
-}
-
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-/// One thread's translated output run: an in-memory tail plus an
-/// optional on-disk prefix (encoded records, appended oldest-first).
-#[derive(Debug, Default)]
-struct SpillRun {
-    buf: Vec<TraceRecord>,
-    spilled: u64,
-    file: Option<File>,
-}
-
-/// A [`TranslateSink`] that keeps translated per-thread runs in memory
-/// up to a byte budget and spills the largest run to a [`SpillDir`]
-/// beyond it — the out-of-core half of the streaming translate→compile
-/// pipeline.  Runs are written in per-thread order, so reassembly (into
-/// a [`TraceSet`] or straight into an `XTPS` file) is a sequential
-/// replay per thread: the k-way epoch merge happens on the way *in*
-/// (the [`crate::translate::EpochTranslator`] emits records only once
-/// their epoch resolves), never in memory on the way out.
-///
-/// Encode/replay scratch reuses [`StreamArena`] buffers; pass one via
-/// [`SpillSink::with_arena`] to pool allocations across traces.
-#[derive(Debug)]
-pub struct SpillSink {
-    runs: Vec<SpillRun>,
-    dir: Option<SpillDir>,
-    /// In-memory record budget, in bytes of `TraceRecord`s.
-    budget: usize,
-    in_mem: usize,
-    spill_count: usize,
-    /// Reused encode/replay byte scratch (the arena's byte buffer).
-    scratch: Vec<u8>,
-    peak_resident: usize,
-}
-
-impl SpillSink {
-    /// A sink for `n_threads` runs holding at most `mem_budget` bytes of
-    /// translated records in memory (0 spills every record batch).
-    pub fn new(n_threads: usize, mem_budget: usize) -> SpillSink {
-        SpillSink::with_arena(n_threads, mem_budget, StreamArena::new())
-    }
-
-    /// Like [`SpillSink::new`], reusing `arena`'s buffers for encode and
-    /// replay scratch.
-    pub fn with_arena(n_threads: usize, mem_budget: usize, arena: StreamArena) -> SpillSink {
-        let StreamArena { mut bytes, .. } = arena;
-        bytes.clear();
-        SpillSink {
-            runs: (0..n_threads).map(|_| SpillRun::default()).collect(),
-            dir: None,
-            budget: mem_budget,
-            in_mem: 0,
-            spill_count: 0,
-            scratch: bytes,
-            peak_resident: 0,
-        }
-    }
-
-    /// How many spill flushes happened (0 = the whole set fit in budget).
-    pub fn spill_count(&self) -> usize {
-        self.spill_count
-    }
-
-    /// High-water mark of in-memory translated records, in bytes.
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.peak_resident
-    }
-
-    /// Flushes the largest in-memory run to its spill file.
-    fn spill_largest(&mut self) -> Result<(), TraceError> {
-        let Some((t, _)) = self
-            .runs
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, r)| r.buf.len())
-            .filter(|(_, r)| !r.buf.is_empty())
-        else {
-            return Ok(());
-        };
-        if self.dir.is_none() {
-            self.dir = Some(SpillDir::new()?);
-        }
-        let run = &mut self.runs[t];
-        if run.file.is_none() {
-            run.file = Some(self.dir.as_ref().expect("spill dir").run_file(t)?);
-        }
-        self.scratch.clear();
-        for rec in &run.buf {
-            format::encode_record(&mut self.scratch, rec);
-        }
-        run.file
-            .as_mut()
-            .expect("spill file")
-            .write_all(&self.scratch)?;
-        run.spilled += run.buf.len() as u64;
-        self.spill_count += 1;
-        self.in_mem -= run.buf.len();
-        run.buf.clear();
-        Ok(())
-    }
-
-    /// Replays every run in thread order, consuming the sink:
-    /// [`RunConsumer::on_thread`] fires once per thread (in order, with
-    /// its final record count), then [`RunConsumer::on_record`] receives
-    /// that thread's records — spilled prefix replayed from disk first,
-    /// in-memory tail after.
-    fn drain(mut self, consumer: &mut impl RunConsumer) -> Result<(), TraceError> {
-        let runs = std::mem::take(&mut self.runs);
-        for (t, run) in runs.into_iter().enumerate() {
-            consumer.on_thread(t, run.spilled + run.buf.len() as u64)?;
-            if let Some(file) = run.file {
-                // Reuse the shared refill machinery for the read-back:
-                // the run file is raw concatenated records.
-                let bytes = std::mem::take(&mut self.scratch);
-                let mut feed = ByteFeed::new(FileSource::new(file), bytes, DEFAULT_WINDOW_BYTES);
-                for _ in 0..run.spilled {
-                    let rec = feed.decode_record()?;
-                    consumer.on_record(t, &rec)?;
-                }
-                self.scratch = feed.buf;
-            }
-            for rec in &run.buf {
-                consumer.on_record(t, rec)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reassembles the translated [`TraceSet`] (spilled prefixes replayed
-    /// from disk, in-memory tails appended).
-    pub fn into_set(self) -> Result<TraceSet, TraceError> {
-        struct Builder {
-            threads: Vec<ThreadTrace>,
-        }
-        impl RunConsumer for Builder {
-            fn on_thread(&mut self, t: usize, count: u64) -> Result<(), TraceError> {
-                self.threads.push(ThreadTrace {
-                    thread: ThreadId::from_index(t),
-                    records: Vec::with_capacity((count as usize).min(1 << 20)),
-                });
-                Ok(())
-            }
-            fn on_record(&mut self, _t: usize, rec: &TraceRecord) -> Result<(), TraceError> {
-                self.threads
-                    .last_mut()
-                    .expect("thread run started")
-                    .records
-                    .push(*rec);
-                Ok(())
-            }
-        }
-        let mut b = Builder {
-            threads: Vec::with_capacity(self.runs.len()),
-        };
-        self.drain(&mut b)?;
-        Ok(TraceSet { threads: b.threads })
-    }
-
-    /// Writes the translated set straight to an `XTPS` file without ever
-    /// materializing it: header, then per thread a segment header and a
-    /// sequential replay of that thread's run.  This is the fully
-    /// out-of-core path (`extrap translate --stream`); the bytes are
-    /// identical to `format::encode_set` of the whole-trace result.
-    pub fn write_set_file(self, path: impl AsRef<Path>) -> Result<(), TraceError> {
-        use crate::bytesio::BufMut;
-        struct FileOut {
-            w: io::BufWriter<File>,
-            buf: Vec<u8>,
-        }
-        impl RunConsumer for FileOut {
-            fn on_thread(&mut self, t: usize, count: u64) -> Result<(), TraceError> {
-                self.buf.clear();
-                self.buf.put_u32_le(ThreadId::from_index(t).0);
-                self.buf.put_u64_le(count);
-                self.w.write_all(&self.buf)?;
-                Ok(())
-            }
-            fn on_record(&mut self, _t: usize, rec: &TraceRecord) -> Result<(), TraceError> {
-                self.buf.clear();
-                format::encode_record(&mut self.buf, rec);
-                self.w.write_all(&self.buf)?;
-                Ok(())
-            }
-        }
-        let mut out = FileOut {
-            w: io::BufWriter::new(File::create(path)?),
-            buf: Vec::with_capacity(MAX_RECORD_BYTES.max(16)),
-        };
-        out.buf.put_slice(format::SET_MAGIC);
-        out.buf.put_u16_le(format::VERSION);
-        out.buf.put_u32_le(self.runs.len() as u32);
-        out.w.write_all(&out.buf)?;
-        self.drain(&mut out)?;
-        out.w.flush()?;
-        Ok(())
-    }
-}
-
-/// Receives a [`SpillSink`]'s replayed runs in thread order.
-trait RunConsumer {
-    fn on_thread(&mut self, t: usize, count: u64) -> Result<(), TraceError>;
-    fn on_record(&mut self, t: usize, rec: &TraceRecord) -> Result<(), TraceError>;
-}
-
-impl TranslateSink for SpillSink {
-    fn emit(&mut self, thread: usize, rec: TraceRecord) -> Result<(), TraceError> {
-        self.runs[thread].buf.push(rec);
-        self.in_mem += 1;
-        let resident = self.in_mem * size_of::<TraceRecord>();
-        if resident > self.peak_resident {
-            self.peak_resident = resident;
-        }
-        if resident > self.budget {
-            self.spill_largest()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 
 use crate::error::TraceError;
 use crate::event::{EventKind, ProgramTrace, ThreadTrace, TraceRecord, TraceSet};
-use crate::stream::{ChunkSource, ProgramStream, SpillSink};
+use crate::stream::{ChunkSource, ProgramStream};
 use extrap_time::{BarrierId, DurationNs, ThreadId, TimeNs};
 use std::collections::VecDeque;
 use std::mem::size_of;
@@ -48,11 +48,11 @@ pub struct TranslateOptions {
 /// emitted in its own stream order), but threads interleave in epoch
 /// resolution order, **not** global time order.  Sinks that need a
 /// global view must merge per thread; sinks that fold per thread (a
-/// [`TraceSet`] builder, the incremental compiler, a spill file) consume
-/// them directly.
+/// [`TraceSet`] builder, the incremental compiler) consume them
+/// directly.
 pub trait TranslateSink {
-    /// Accepts one translated record for `thread`.  Fallible so sinks
-    /// that spill to disk can surface I/O errors through translation.
+    /// Accepts one translated record for `thread`.  Fallible so a sink's
+    /// own errors (e.g. a compile failure) stop translation.
     fn emit(&mut self, thread: usize, rec: TraceRecord) -> Result<(), TraceError>;
 }
 
@@ -514,7 +514,14 @@ pub fn translate(trace: &ProgramTrace, options: TranslateOptions) -> Result<Trac
     trace.validate()?;
     precheck_barriers(trace)?;
 
-    let mut out: Vec<Vec<TraceRecord>> = (0..trace.n_threads).map(|_| Vec::new()).collect();
+    // The machine emits exactly one record per input record, so each
+    // thread's output is sized up front: no regrowth, and a cached set
+    // is charged for its records only.
+    let mut counts = vec![0usize; trace.n_threads];
+    for rec in &trace.records {
+        counts[rec.thread.index()] += 1;
+    }
+    let mut out: Vec<Vec<TraceRecord>> = counts.into_iter().map(Vec::with_capacity).collect();
     let mut machine = EpochTranslator::new(trace.n_threads, options);
     {
         let mut sink = |t: usize, rec: TraceRecord| {
@@ -566,24 +573,6 @@ pub fn translate_stream<S: ChunkSource>(
         records: machine.records_seen(),
         peak_resident_bytes: machine.peak_resident_bytes(),
     })
-}
-
-/// Out-of-core streaming translation to a [`TraceSet`]: per-thread output
-/// runs go through a budget-capped [`SpillSink`] (in-memory until
-/// `mem_budget` bytes of translated records are resident, spilled to a
-/// tempfile-backed `SpillDir` beyond that) and are merged back
-/// thread-by-thread at the end.  The result — validated like
-/// [`translate`]'s — is byte-identical to the whole-trace path.
-pub fn translate_stream_to_set<S: ChunkSource>(
-    stream: &mut ProgramStream<S>,
-    options: TranslateOptions,
-    mem_budget: usize,
-) -> Result<(TraceSet, TranslateStats), TraceError> {
-    let mut sink = SpillSink::new(stream.n_threads(), mem_budget);
-    let stats = translate_stream(stream, options, &mut sink)?;
-    let set = sink.into_set()?;
-    set.validate()?;
-    Ok((set, stats))
 }
 
 /// One-pass prepass computing every thread's barrier sequence and first
@@ -908,9 +897,35 @@ mod tests {
         p.record()
     }
 
+    /// Runs [`translate_stream`] into a closure sink that regroups the
+    /// emitted records per thread, as `translate` does.
+    fn translate_via_stream(
+        stream: &mut ProgramStream<crate::stream::SliceSource<'_>>,
+        opts: TranslateOptions,
+    ) -> Result<(TraceSet, TranslateStats), TraceError> {
+        let mut out: Vec<Vec<TraceRecord>> = vec![Vec::new(); stream.n_threads()];
+        let mut sink = |t: usize, rec: TraceRecord| {
+            out[t].push(rec);
+            Ok(())
+        };
+        let stats = translate_stream(stream, opts, &mut sink)?;
+        let set = TraceSet {
+            threads: out
+                .into_iter()
+                .enumerate()
+                .map(|(i, records)| ThreadTrace {
+                    thread: ThreadId::from_index(i),
+                    records,
+                })
+                .collect(),
+        };
+        set.validate()?;
+        Ok((set, stats))
+    }
+
     #[test]
     fn streaming_translate_matches_whole_trace() {
-        use crate::stream::{ProgramStream, SliceSource};
+        use crate::stream::{SliceSource, StreamArena};
         let pt = sample_remote_program();
         let opts = TranslateOptions {
             event_overhead: DurationNs(3),
@@ -918,39 +933,21 @@ mod tests {
         };
         let expected = translate(&pt, opts).unwrap();
         let bytes = crate::format::encode_program(&pt);
-        for budget in [0usize, 64, usize::MAX] {
-            let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-            let (set, stats) = translate_stream_to_set(&mut stream, opts, budget).unwrap();
-            assert_eq!(set, expected, "budget {budget}");
+        for (window, chunk) in [(1, 1), (29, 3), (64 * 1024, 4096)] {
+            let mut stream =
+                ProgramStream::with_options(SliceSource(&bytes), StreamArena::new(), window, chunk)
+                    .unwrap();
+            let (set, stats) = translate_via_stream(&mut stream, opts).unwrap();
+            assert_eq!(set, expected, "window {window}, chunk {chunk}");
             assert_eq!(stats.records, pt.records.len() as u64);
             assert!(stats.peak_resident_bytes > 0);
         }
     }
 
     #[test]
-    fn streaming_write_set_file_is_byte_identical() {
-        use crate::stream::{ProgramStream, SliceSource, SpillSink};
-        let pt = sample_remote_program();
-        let opts = TranslateOptions::default();
-        let expected = crate::format::encode_set(&translate(&pt, opts).unwrap());
-        let bytes = crate::format::encode_program(&pt);
-        let dir = std::env::temp_dir().join(format!("extrap-xlate-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.xtps");
-        // Budget 0 forces every batch through the spill files.
-        let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-        let mut sink = SpillSink::new(stream.n_threads(), 0);
-        translate_stream(&mut stream, opts, &mut sink).unwrap();
-        assert!(sink.spill_count() > 0);
-        sink.write_set_file(&path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn streaming_translate_rejects_what_whole_trace_rejects() {
         use crate::builder::ProgramTraceBuilder;
-        use crate::stream::{ProgramStream, SliceSource};
+        use crate::stream::SliceSource;
         let mut b = ProgramTraceBuilder::new(2);
         b.emit(ThreadId(0), EventKind::ThreadBegin);
         b.emit(ThreadId(1), EventKind::ThreadBegin);
@@ -971,8 +968,7 @@ mod tests {
         let pt = b.finish();
         let bytes = crate::format::encode_program(&pt);
         let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-        let err = translate_stream_to_set(&mut stream, TranslateOptions::default(), usize::MAX)
-            .unwrap_err();
+        let err = translate_via_stream(&mut stream, TranslateOptions::default()).unwrap_err();
         assert!(matches!(err, TraceError::BarrierMismatch { .. }));
         assert!(translate(&pt, TranslateOptions::default()).is_err());
     }
