@@ -8,7 +8,11 @@ use extrap_core::{
 };
 use extrap_sim::SplitMix64;
 use extrap_time::{DurationNs, TimeNs};
+use extrap_workloads::{Bench, Scale};
 use std::hint::black_box;
+
+/// The processor counts of the Fig-4 speedup grid.
+const FIG4_PROCS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Schedules every timestamp in `times`, then drains the queue; the raw
 /// event-queue hot loop.
@@ -51,14 +55,28 @@ fn main() {
     h.bench("pcpp_runtime_8_threads_64_phases", || {
         let trace = pcpp_rt::Program::new(8)
             .with_work_model(pcpp_rt::WorkModel::unit())
-            .run(|ctx| {
+            .run(async |ctx| {
                 for _ in 0..64 {
                     ctx.charge(DurationNs(1_000));
-                    ctx.barrier();
+                    ctx.barrier().await;
                 }
             });
         black_box(trace.records.len())
     });
+
+    // Cold trace generation for the Fig-4 grid: every suite benchmark at
+    // every experiment thread count, tiny scale.
+    let fig4_tiny = || -> usize {
+        Bench::all()
+            .iter()
+            .flat_map(|bench| FIG4_PROCS.map(|n| bench.trace(n, Scale::Tiny).records.len()))
+            .sum()
+    };
+    h.bench_throughput(
+        "pcpp_generate_fig4_tiny",
+        Throughput::Elements(fig4_tiny() as u64),
+        || black_box(fig4_tiny()),
+    );
 
     {
         let trace = ring_program(32, 64, 10.0, 256);

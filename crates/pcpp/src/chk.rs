@@ -40,9 +40,7 @@
 //! the virtual grant, the real notify is sent after the virtual wake), so
 //! code paths that mix checked and unchecked threads degrade gracefully;
 //! the one unsupported direction is an unchecked thread notifying a
-//! virtually parked waiter.  [`crate::sync::unchecked_scope`] opts a
-//! region out entirely — [`crate::Program::run`] uses it because the
-//! traced program's run-token scheduler is not the object under test.
+//! virtually parked waiter.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -106,20 +104,6 @@ pub(crate) fn virtual_now() -> Option<u64> {
         .unwrap_or_else(|e| e.into_inner())
         .clock_ns;
     Some(ns)
-}
-
-/// Runs `f` with the checker context cleared: sync operations inside go
-/// straight to std.  See [`crate::sync::unchecked_scope`].
-pub(crate) fn unchecked_scope<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Ctx>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let saved = self.0.take();
-            CTX.with(|c| *c.borrow_mut() = saved);
-        }
-    }
-    let _restore = Restore(CTX.with(|c| c.borrow_mut().take()));
-    f()
 }
 
 // ---------------------------------------------------------------------

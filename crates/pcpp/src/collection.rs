@@ -5,18 +5,20 @@
 //! elements live in one global space, so remote reads are *directly
 //! served* (identical timing to local reads, §3.2) — but they are
 //! *recorded* as remote-access events carrying both the declared
-//! (whole-element) size and the actual bytes the access needs.
+//! (whole-element) size and the actual bytes the access needs.  All
+//! program threads run on the OS thread that called
+//! [`crate::Program::run`], so elements need no locks.
 
 use crate::distribution::{Distribution, Index2};
 use crate::element::Element;
 use crate::program::ThreadCtx;
-use crate::sync::RwLock;
 use extrap_time::{ElementId, ThreadId};
+use std::cell::RefCell;
 
 /// A distributed collection of elements.
 pub struct Collection<T: Element> {
     dist: Distribution,
-    data: Vec<RwLock<T>>,
+    data: Vec<RefCell<T>>,
 }
 
 impl<T: Element> Collection<T> {
@@ -26,7 +28,7 @@ impl<T: Element> Collection<T> {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
-                data.push(RwLock::new(init(Index2(r, c))));
+                data.push(RefCell::new(init(Index2(r, c))));
             }
         }
         Collection { dist, data }
@@ -57,7 +59,7 @@ impl<T: Element> Collection<T> {
         self.dist.owner(idx)
     }
 
-    fn slot(&self, idx: Index2) -> &RwLock<T> {
+    fn slot(&self, idx: Index2) -> &RefCell<T> {
         &self.data[self.dist.flat(idx)]
     }
 
@@ -65,7 +67,7 @@ impl<T: Element> Collection<T> {
     /// event is recorded with `actual == declared` (the access consumes
     /// the full element).
     pub fn read<R>(&self, ctx: &mut ThreadCtx<'_>, idx: Index2, f: impl FnOnce(&T) -> R) -> R {
-        let guard = self.slot(idx).read();
+        let guard = self.slot(idx).borrow();
         let declared = guard.size_bytes();
         self.note_read(ctx, idx, declared, declared);
         f(&guard)
@@ -81,7 +83,7 @@ impl<T: Element> Collection<T> {
         actual_bytes: u32,
         f: impl FnOnce(&T) -> R,
     ) -> R {
-        let guard = self.slot(idx).read();
+        let guard = self.slot(idx).borrow();
         let declared = guard.size_bytes();
         self.note_read(ctx, idx, declared, actual_bytes.min(declared).max(1));
         f(&guard)
@@ -91,7 +93,7 @@ impl<T: Element> Collection<T> {
     /// remote-write events (§5's "trivial extension"); the owner-computes
     /// benchmarks never use them, but Matmul-style broadcasts can.
     pub fn write(&self, ctx: &mut ThreadCtx<'_>, idx: Index2, f: impl FnOnce(&mut T)) {
-        let mut guard = self.slot(idx).write();
+        let mut guard = self.slot(idx).borrow_mut();
         let declared = guard.size_bytes();
         self.note_write(ctx, idx, declared, declared);
         f(&mut guard);
@@ -105,7 +107,7 @@ impl<T: Element> Collection<T> {
         actual_bytes: u32,
         f: impl FnOnce(&mut T),
     ) {
-        let mut guard = self.slot(idx).write();
+        let mut guard = self.slot(idx).borrow_mut();
         let declared = guard.size_bytes();
         self.note_write(ctx, idx, declared, actual_bytes.min(declared).max(1));
         f(&mut guard);
@@ -122,12 +124,12 @@ impl<T: Element> Collection<T> {
     /// Reads an element *without* instrumentation (setup/verification
     /// code outside the measured program).
     pub fn peek<R>(&self, idx: Index2, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.slot(idx).read())
+        f(&self.slot(idx).borrow())
     }
 
     /// Writes an element *without* instrumentation (setup/verification).
     pub fn poke(&self, idx: Index2, f: impl FnOnce(&mut T)) {
-        f(&mut self.slot(idx).write());
+        f(&mut self.slot(idx).borrow_mut());
     }
 
     fn note_read(&self, ctx: &mut ThreadCtx<'_>, idx: Index2, declared: u32, actual: u32) {
@@ -169,7 +171,7 @@ mod tests {
         let coll = Collection::<f64>::build(Distribution::block_1d(4, 2), |i| i.0 as f64);
         let trace = Program::new(2)
             .with_work_model(WorkModel::unit())
-            .run(|ctx| {
+            .run(async |ctx| {
                 for idx in coll.local_indices(ctx.id()) {
                     let v = coll.read(ctx, idx, |v| *v);
                     assert_eq!(v, idx.0 as f64);
@@ -183,14 +185,14 @@ mod tests {
         let coll = Collection::<Vec<f64>>::build(Distribution::block_1d(2, 2), |_| vec![0.0; 16]);
         let trace = Program::new(2)
             .with_work_model(WorkModel::unit())
-            .run(|ctx| {
+            .run(async |ctx| {
                 if ctx.id().0 == 0 {
                     // Element 1 belongs to thread 1: full read then a
                     // 8-byte partial read.
                     coll.read(ctx, Index2(1, 0), |v| v.len());
                     coll.read_part(ctx, Index2(1, 0), 8, |v| v.len());
                 }
-                ctx.barrier();
+                ctx.barrier().await;
             });
         let remotes: Vec<_> = trace
             .records
@@ -229,11 +231,11 @@ mod tests {
         let coll = Collection::<f64>::build(Distribution::block_1d(2, 2), |_| 0.0);
         let trace = Program::new(2)
             .with_work_model(WorkModel::unit())
-            .run(|ctx| {
+            .run(async |ctx| {
                 if ctx.id().0 == 0 {
                     coll.write(ctx, Index2(1, 0), |v| *v = 7.0);
                 }
-                ctx.barrier();
+                ctx.barrier().await;
             });
         assert_eq!(
             trace
@@ -262,7 +264,7 @@ mod tests {
         let partial = Collection::<f64>::build(Distribution::block_1d(4, 4), |_| 0.0);
         let trace = Program::new(4)
             .with_work_model(WorkModel::unit())
-            .run(|ctx| {
+            .run(async |ctx| {
                 let mut acc = 0.0;
                 for idx in coll.local_indices(ctx.id()) {
                     acc += coll.read(ctx, idx, |v| *v);
@@ -270,7 +272,7 @@ mod tests {
                 }
                 let me = Index2(ctx.id().index(), 0);
                 partial.write(ctx, me, |v| *v = acc);
-                ctx.barrier();
+                ctx.barrier().await;
                 // Thread 0 combines.
                 if ctx.id().0 == 0 {
                     let mut total = 0.0;
@@ -280,7 +282,7 @@ mod tests {
                     }
                     partial.write(ctx, Index2(0, 0), |v| *v = total);
                 }
-                ctx.barrier();
+                ctx.barrier().await;
             });
         assert_eq!(coll.peek(Index2(0, 0), |v| *v), 1.0);
         assert_eq!(partial.peek(Index2(0, 0), |v| *v), (n * (n + 1) / 2) as f64);

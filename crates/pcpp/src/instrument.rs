@@ -1,14 +1,13 @@
 //! The trace recorder: a global virtual clock plus an append-only event
 //! buffer, shared by all runtime threads.
 //!
-//! Because the scheduler guarantees exactly one thread executes at any
-//! moment, the clock and buffer see strictly serialized access and the
-//! recorded trace is deterministic.
+//! Every runtime thread is a future polled on the one OS thread that
+//! called [`crate::Program::run`], so the clock and buffer see strictly
+//! serialized access and the recorded trace is deterministic.
 
-use crate::sync::Mutex;
 use extrap_time::{DurationNs, ThreadId, TimeNs};
 use extrap_trace::{EventKind, ProgramTrace, TraceRecord};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 /// Where timestamps come from.
@@ -28,8 +27,8 @@ pub enum TimeSource {
 /// The shared instrumentation state of one program run.
 #[derive(Debug)]
 pub struct Recorder {
-    clock: AtomicU64,
-    records: Mutex<Vec<TraceRecord>>,
+    clock: Cell<u64>,
+    records: RefCell<Vec<TraceRecord>>,
     /// Virtual cost charged for recording each event (lets experiments
     /// exercise the intrusion compensation of the translation algorithm).
     event_overhead: DurationNs,
@@ -47,8 +46,8 @@ impl Recorder {
     /// Creates a recorder with an explicit time source.
     pub fn with_source(event_overhead: DurationNs, source: TimeSource) -> Recorder {
         Recorder {
-            clock: AtomicU64::new(0),
-            records: Mutex::new(Vec::new()),
+            clock: Cell::new(0),
+            records: RefCell::new(Vec::new()),
             event_overhead,
             source,
             started: Instant::now(),
@@ -62,10 +61,10 @@ impl Recorder {
     /// recorded timestamp).
     pub fn now(&self) -> TimeNs {
         match self.source {
-            TimeSource::Virtual => TimeNs(self.clock.load(Ordering::Relaxed)),
+            TimeSource::Virtual => TimeNs(self.clock.get()),
             TimeSource::Wall => {
                 let wall = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                let floor = self.clock.load(Ordering::Relaxed);
+                let floor = self.clock.get();
                 TimeNs(wall.max(floor))
             }
         }
@@ -75,7 +74,7 @@ impl Recorder {
     /// A no-op under [`TimeSource::Wall`] — real time advances itself.
     pub fn advance(&self, d: DurationNs) {
         if self.source == TimeSource::Virtual {
-            self.clock.fetch_add(d.as_ns(), Ordering::Relaxed);
+            self.clock.set(self.clock.get().wrapping_add(d.as_ns()));
         }
     }
 
@@ -84,10 +83,12 @@ impl Recorder {
     /// recording cost is already in the timestamps).
     pub fn record(&self, thread: ThreadId, kind: EventKind) {
         let time = self.now();
-        self.records.lock().push(TraceRecord { time, thread, kind });
+        self.records
+            .borrow_mut()
+            .push(TraceRecord { time, thread, kind });
         if self.source == TimeSource::Wall {
             // Pin monotonicity for subsequent now() calls.
-            self.clock.fetch_max(time.as_ns(), Ordering::Relaxed);
+            self.clock.set(self.clock.get().max(time.as_ns()));
         }
         self.advance(self.event_overhead);
     }
@@ -99,7 +100,7 @@ impl Recorder {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records.borrow().len()
     }
 
     /// True when nothing has been recorded.

@@ -15,9 +15,11 @@
 //! * computation time is charged to a deterministic **virtual clock**
 //!   through an explicit [`WorkModel`] instead of being measured with a
 //!   wall clock, which makes traces bit-reproducible;
-//! * the AWESIME threads package becomes a run-token scheduler over OS
-//!   threads: exactly one thread executes at any time and switches happen
-//!   only at barrier boundaries, exactly the scheduling points pC++ has.
+//! * the AWESIME threads package becomes a single-thread executor: each
+//!   program thread is a future (an `async` body) polled in id order on
+//!   the calling OS thread, and a thread suspends only in
+//!   [`ThreadCtx::barrier`] — exactly the scheduling points pC++ has — so
+//!   one poll pass over all threads runs one barrier epoch.
 //!
 //! ## Example
 //!
@@ -27,19 +29,19 @@
 //! // 4 threads, 16 elements distributed blockwise.
 //! let program = Program::new(4);
 //! let coll = Collection::<f64>::build(Distribution::block_1d(16, 4), |i| i.0 as f64);
-//! let trace = program.run(move |ctx| {
+//! let trace = program.run(async move |ctx| {
 //!     let mut acc = 0.0;
 //!     for idx in coll.local_indices(ctx.id()) {
 //!         acc += coll.read(ctx, idx, |v| *v);
 //!         ctx.charge_flops(1);
 //!     }
-//!     ctx.barrier();
+//!     ctx.barrier().await;
 //!     // Read one element from the right neighbour.
 //!     let n = ctx.n_threads() as u32;
 //!     let peer = (ctx.id().0 + 1) % n;
 //!     let first = coll.dist().local_indices(pcpp_rt::tid(peer)).next().unwrap();
 //!     let _ = coll.read(ctx, first, |v| *v);
-//!     ctx.barrier();
+//!     ctx.barrier().await;
 //! });
 //! assert_eq!(trace.n_threads, 4);
 //! ```
@@ -53,7 +55,6 @@ pub mod distribution;
 pub mod element;
 pub mod instrument;
 pub mod program;
-pub mod scheduler;
 pub mod sync;
 
 pub use clock::WorkModel;

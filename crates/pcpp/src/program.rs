@@ -1,14 +1,21 @@
-//! Program execution: spawn *n* runtime threads under the non-preemptive
-//! scheduler, give each a [`ThreadCtx`], and collect the instrumented
-//! 1-processor trace.
+//! Program execution: run *n* runtime threads as futures polled in id
+//! order on the calling thread, give each a [`ThreadCtx`], and collect
+//! the instrumented 1-processor trace.
+//!
+//! A thread suspends only inside [`ThreadCtx::barrier`], so one poll
+//! pass over all threads executes exactly one barrier epoch: thread 0
+//! runs until its next barrier, then thread 1, and so on.  That is the
+//! paper's "n threads on a single processor under a non-preemptive
+//! threads package" (§3.2), deterministic by construction.
 
 use crate::clock::WorkModel;
 use crate::instrument::{Recorder, TimeSource};
-use crate::scheduler::Scheduler;
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId};
 use extrap_trace::{EventKind, ProgramTrace};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::future::{self, Future};
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
 
 /// A configured data-parallel program: thread count, host work model,
 /// and instrumentation overhead.
@@ -59,59 +66,67 @@ impl Program {
         self.n_threads
     }
 
-    /// Runs `body` once per thread under the non-preemptive scheduler and
-    /// returns the recorded 1-processor program trace.
+    /// Runs `body` once per thread and returns the recorded 1-processor
+    /// program trace.
     ///
     /// `body` is shared by all threads; per-thread state lives in the
-    /// [`ThreadCtx`].  Panics in any thread are propagated.
+    /// [`ThreadCtx`].  Each thread is a future polled on the calling
+    /// thread, in id order, one pass per barrier epoch.  A panic in any
+    /// thread propagates.  The run also panics if the threads disagree
+    /// on the number of barriers, or if a body suspends anywhere but in
+    /// [`ThreadCtx::barrier`].
     pub fn run<F>(&self, body: F) -> ProgramTrace
     where
-        F: Fn(&mut ThreadCtx) + Sync,
+        F: AsyncFn(&mut ThreadCtx<'_>),
     {
-        // The run-token scheduler below is measurement substrate, not a
-        // model-checking target: opt this thread out so a scenario that
-        // drives `Program::run` doesn't try to schedule it.
-        crate::sync::unchecked_scope(|| self.run_inner(body))
-    }
-
-    fn run_inner<F>(&self, body: F) -> ProgramTrace
-    where
-        F: Fn(&mut ThreadCtx) + Sync,
-    {
+        let n = self.n_threads;
         let recorder = Recorder::with_source(self.event_overhead, self.time_source);
-        let scheduler = Arc::new(Scheduler::new(self.n_threads));
+        let parked = Cell::new(false);
         let body = &body;
-        let recorder_ref = &recorder;
-        std::thread::scope(|s| {
-            for i in 0..self.n_threads {
-                let scheduler = Arc::clone(&scheduler);
-                let work = self.work;
-                s.spawn(move || {
-                    scheduler.wait_first_turn(i);
-                    let mut ctx = ThreadCtx {
-                        id: ThreadId::from_index(i),
-                        n_threads: scheduler.n_threads(),
-                        work,
-                        recorder: recorder_ref,
-                        scheduler: &scheduler,
-                        barriers: 0,
-                    };
+        let mut threads: Vec<_> = (0..n)
+            .map(|i| {
+                let mut ctx = ThreadCtx {
+                    id: ThreadId::from_index(i),
+                    n_threads: n,
+                    work: self.work,
+                    recorder: &recorder,
+                    parked: &parked,
+                    barriers: 0,
+                };
+                Box::pin(async move {
                     ctx.recorder.record(ctx.id, EventKind::ThreadBegin);
-                    let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                    match result {
-                        Ok(()) => {
-                            ctx.recorder.record(ctx.id, EventKind::ThreadEnd);
-                            scheduler.finish(i);
-                        }
-                        Err(payload) => {
-                            scheduler.poison();
-                            resume_unwind(payload);
-                        }
-                    }
-                });
+                    body(&mut ctx).await;
+                    ctx.recorder.record(ctx.id, EventKind::ThreadEnd);
+                }) as Pin<Box<dyn Future<Output = ()> + '_>>
+            })
+            .collect();
+
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut entered = vec![0usize; n];
+        loop {
+            let mut finished = Vec::new();
+            for (t, thread) in threads.iter_mut().enumerate() {
+                match thread.as_mut().poll(&mut cx) {
+                    Poll::Ready(()) => finished.push(t),
+                    Poll::Pending if parked.replace(false) => entered[t] += 1,
+                    Poll::Pending => panic!(
+                        "pcpp-rt: thread {t} of a {n}-thread program suspended outside \
+                         `barrier()`; a body may only await barriers"
+                    ),
+                }
             }
-        });
-        recorder.into_trace(self.n_threads)
+            if finished.len() == n {
+                break;
+            }
+            assert!(
+                finished.is_empty(),
+                "pcpp-rt: mismatched barrier counts in a {n}-thread program: barriers \
+                 entered per thread {entered:?}, but threads {finished:?} finished while \
+                 the others wait at a barrier"
+            );
+        }
+        drop(threads);
+        recorder.into_trace(n)
     }
 }
 
@@ -121,7 +136,9 @@ pub struct ThreadCtx<'a> {
     n_threads: usize,
     work: WorkModel,
     recorder: &'a Recorder,
-    scheduler: &'a Scheduler,
+    /// Set by [`ThreadCtx::barrier`] when it suspends, so the executor
+    /// can tell a barrier from any other `Pending`.
+    parked: &'a Cell<bool>,
     barriers: usize,
 }
 
@@ -168,12 +185,24 @@ impl ThreadCtx<'_> {
 
     /// Enters the next global barrier (all threads must call `barrier`
     /// the same number of times — the data-parallel execution model).
-    pub fn barrier(&mut self) {
+    /// The thread suspends here until every other thread has entered
+    /// the same barrier.
+    pub async fn barrier(&mut self) {
         let b = BarrierId::from_index(self.barriers);
         self.barriers += 1;
         self.recorder
             .record(self.id, EventKind::BarrierEnter { barrier: b });
-        self.scheduler.barrier(self.id.index());
+        let mut suspended = false;
+        future::poll_fn(|_| {
+            if suspended {
+                Poll::Ready(())
+            } else {
+                suspended = true;
+                self.parked.set(true);
+                Poll::Pending
+            }
+        })
+        .await;
         self.recorder
             .record(self.id, EventKind::BarrierExit { barrier: b });
     }
@@ -234,6 +263,7 @@ impl ThreadCtx<'_> {
 mod tests {
     use super::*;
     use extrap_time::TimeNs;
+    use std::cell::RefCell;
 
     #[test]
     fn phase_structure_matches_phase_program_builder() {
@@ -241,10 +271,10 @@ mod tests {
         // twice, must produce the same trace as the synthetic builder.
         let trace = Program::new(3)
             .with_work_model(WorkModel::unit())
-            .run(|ctx| {
+            .run(async |ctx| {
                 for _ in 0..2 {
                     ctx.charge(DurationNs(1_000));
-                    ctx.barrier();
+                    ctx.barrier().await;
                 }
             });
         let mut synth = extrap_trace::PhaseProgram::new(3);
@@ -255,9 +285,9 @@ mod tests {
 
     #[test]
     fn translated_runtime_trace_collapses() {
-        let trace = Program::new(4).run(|ctx| {
+        let trace = Program::new(4).run(async |ctx| {
             ctx.charge(DurationNs(500));
-            ctx.barrier();
+            ctx.barrier().await;
         });
         let ts = extrap_trace::translate(&trace, Default::default()).unwrap();
         assert_eq!(ts.makespan(), TimeNs(500));
@@ -265,10 +295,10 @@ mod tests {
 
     #[test]
     fn skewed_work_is_recorded_per_thread() {
-        let trace = Program::new(2).run(|ctx| {
+        let trace = Program::new(2).run(async |ctx| {
             let mine = (ctx.id().0 as u64 + 1) * 100;
             ctx.charge(DurationNs(mine));
-            ctx.barrier();
+            ctx.barrier().await;
         });
         let ts = extrap_trace::translate(&trace, Default::default()).unwrap();
         // Thread 1 computes 200ns; barrier releases then.
@@ -284,7 +314,7 @@ mod tests {
                 mem_op: DurationNs(3),
                 elem_access: DurationNs(5),
             })
-            .run(|ctx| {
+            .run(async |ctx| {
                 ctx.charge_flops(4); // 40
                 ctx.charge_int_ops(5); // 10
                 ctx.charge_mem_ops(2); // 6
@@ -296,7 +326,7 @@ mod tests {
 
     #[test]
     fn markers_appear_in_trace() {
-        let trace = Program::new(1).run(|ctx| {
+        let trace = Program::new(1).run(async |ctx| {
             ctx.marker(42);
         });
         assert!(trace
@@ -309,7 +339,7 @@ mod tests {
     fn event_overhead_inflates_clock() {
         let trace = Program::new(1)
             .with_event_overhead(DurationNs(9))
-            .run(|ctx| {
+            .run(async |ctx| {
                 ctx.charge(DurationNs(100));
             });
         // begin (overhead 9) + 100 compute -> end at 109.
@@ -319,10 +349,10 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            Program::new(5).run(|ctx| {
+            Program::new(5).run(async |ctx| {
                 for p in 0..4 {
                     ctx.charge(DurationNs((ctx.id().0 as u64 + 1) * (p + 1) * 10));
-                    ctx.barrier();
+                    ctx.barrier().await;
                 }
             })
         };
@@ -331,7 +361,7 @@ mod tests {
 
     #[test]
     fn wall_time_mode_produces_monotone_usable_traces() {
-        let trace = Program::new(3).with_wall_time().run(|ctx| {
+        let trace = Program::new(3).with_wall_time().run(async |ctx| {
             // Burn some real time; charge() is a no-op in wall mode.
             let mut x = 0u64;
             for i in 0..200_000u64 {
@@ -339,7 +369,7 @@ mod tests {
             }
             std::hint::black_box(x);
             ctx.charge(DurationNs(1)); // ignored
-            ctx.barrier();
+            ctx.barrier().await;
         });
         trace.validate().unwrap();
         let ts = extrap_trace::translate(&trace, Default::default()).unwrap();
@@ -349,14 +379,70 @@ mod tests {
         assert_eq!(stats.barriers(), 1);
     }
 
+    /// Runs `n` threads that each log (thread, step) around `phases`
+    /// barriers; returns the execution order.
+    fn run_order(n: usize, phases: usize) -> Vec<(usize, usize)> {
+        let log = RefCell::new(Vec::new());
+        Program::new(n).run(async |ctx| {
+            for ph in 0..phases {
+                log.borrow_mut().push((ctx.id().index(), ph));
+                ctx.barrier().await;
+            }
+            log.borrow_mut().push((ctx.id().index(), phases));
+        });
+        log.into_inner()
+    }
+
+    #[test]
+    fn threads_run_in_id_order_per_phase() {
+        let order = run_order(3, 2);
+        let expected: Vec<(usize, usize)> = (0..=2usize)
+            .flat_map(|ph| (0..3).map(move |t| (t, ph)))
+            .collect();
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn single_thread_runs_straight_through() {
+        let order = run_order(1, 3);
+        assert_eq!(order, vec![(0, 0), (0, 1), (0, 2), (0, 3)]);
+    }
+
+    #[test]
+    fn many_threads_many_phases_are_deterministic() {
+        assert_eq!(run_order(8, 5), run_order(8, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched barrier counts in a 2-thread program: \
+                               barriers entered per thread [1, 0]")]
+    fn mismatched_barrier_counts_panic_instead_of_hanging() {
+        Program::new(2).run(async |ctx| {
+            if ctx.id().0 == 0 {
+                ctx.barrier().await;
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "thread 1 of a 3-thread program suspended outside `barrier()`")]
+    fn awaiting_a_foreign_future_panics() {
+        Program::new(3).run(async |ctx| {
+            ctx.barrier().await;
+            if ctx.id().0 == 1 {
+                std::future::pending::<()>().await;
+            }
+        });
+    }
+
     #[test]
     fn body_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            Program::new(3).run(|ctx| {
+            Program::new(3).run(async |ctx| {
                 if ctx.id().0 == 1 {
                     panic!("boom");
                 }
-                ctx.barrier();
+                ctx.barrier().await;
             });
         });
         assert!(result.is_err());

@@ -3,10 +3,10 @@
 //!
 //! The container this workspace builds in has no access to crates.io, so
 //! the runtime uses these thin wrappers instead of `parking_lot`: locks
-//! return guards directly (no poison `Result`s — a poisoned lock means a
-//! program thread already panicked, and the scheduler's own poison flag
-//! handles that case), and [`Condvar::wait`] takes the guard by `&mut`
-//! like `parking_lot`'s does.
+//! return guards directly (no poison `Result`s — a poisoned lock means
+//! its holder already panicked, and that panic is what gets reported),
+//! and [`Condvar::wait`] takes the guard by `&mut` like `parking_lot`'s
+//! does.
 //!
 //! Under the `model-check` feature every operation first announces
 //! itself to the [`crate::chk`] cooperative scheduler; on threads it
@@ -360,23 +360,6 @@ impl std::ops::Add<Duration> for Instant {
                 ns.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
             )),
         }
-    }
-}
-
-/// Runs `f` with model-checking suspended on the calling thread: every
-/// sync operation inside goes straight to std, and threads spawned
-/// inside are ordinary OS threads.  [`crate::Program::run`] wraps its
-/// body in this — the traced program's run-token scheduler is part of
-/// the measurement substrate, not the object under test.  No-op without
-/// the `model-check` feature.
-pub fn unchecked_scope<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "model-check")]
-    {
-        crate::chk::unchecked_scope(f)
-    }
-    #[cfg(not(feature = "model-check"))]
-    {
-        f()
     }
 }
 

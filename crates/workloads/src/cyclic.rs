@@ -59,7 +59,7 @@ pub fn run(n_threads: usize, config: &CyclicConfig) -> (ProgramTrace, Vec<Vec<f6
     let xs =
         Collection::<Vec<f64>>::build(Distribution::block_1d(n, n_threads), |_| vec![0.0; batch]);
 
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         // Forward elimination.
         for l in 1..k {
             let stride = 1usize << l;
@@ -87,7 +87,7 @@ pub fn run(n_threads: usize, config: &CyclicConfig) -> (ProgramTrace, Vec<Vec<f6
                 });
                 ctx.charge_flops(10 + 4 * batch as u64);
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
         // Solve the single remaining middle row.
         let mid = (1usize << (k - 1)) - 1;
@@ -100,7 +100,7 @@ pub fn run(n_threads: usize, config: &CyclicConfig) -> (ProgramTrace, Vec<Vec<f6
             });
             ctx.charge_flops(batch as u64);
         }
-        ctx.barrier();
+        ctx.barrier().await;
         // Back substitution.
         for l in (1..k).rev() {
             let stride = 1usize << l;
@@ -128,7 +128,7 @@ pub fn run(n_threads: usize, config: &CyclicConfig) -> (ProgramTrace, Vec<Vec<f6
                 });
                 ctx.charge_flops(5 * batch as u64);
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
     });
 

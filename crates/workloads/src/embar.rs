@@ -9,8 +9,8 @@
 
 use crate::util::{Rng64, VecReduction};
 use extrap_trace::ProgramTrace;
-use pcpp_rt::sync::Mutex;
 use pcpp_rt::Program;
+use std::cell::Cell;
 
 /// Problem parameters.
 #[derive(Clone, Copy, Debug)]
@@ -49,11 +49,11 @@ pub fn run(n_threads: usize, config: &EmbarConfig) -> (ProgramTrace, EmbarResult
     let per_thread = config.pairs.div_ceil(n_threads as u64);
     // One combined tally reduction: 10 bins + sum_x + sum_y + accepted.
     let reduction = VecReduction::new(n_threads, 13);
-    let bins_out: Mutex<[f64; 10]> = Mutex::new([0.0; 10]);
-    let sums_out: Mutex<(f64, f64, f64)> = Mutex::new((0.0, 0.0, 0.0));
+    let bins_out = Cell::new([0.0f64; 10]);
+    let sums_out = Cell::new((0.0f64, 0.0f64, 0.0f64));
     let seed = config.seed;
 
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         let mut rng = Rng64::new(seed ^ (0x1000 + ctx.id().0 as u64));
         let mut bins = [0u64; 10];
         let mut accepted = 0u64;
@@ -84,12 +84,12 @@ pub fn run(n_threads: usize, config: &EmbarConfig) -> (ProgramTrace, EmbarResult
         partial[10] = sx;
         partial[11] = sy;
         partial[12] = accepted as f64;
-        let totals = reduction.sum(ctx, &partial);
+        let totals = reduction.sum(ctx, &partial).await;
         if ctx.id().0 == 0 {
             let mut bins_total = [0.0f64; 10];
             bins_total.copy_from_slice(&totals[..10]);
-            *bins_out.lock() = bins_total;
-            *sums_out.lock() = (totals[10], totals[11], totals[12]);
+            bins_out.set(bins_total);
+            sums_out.set((totals[10], totals[11], totals[12]));
         }
     });
 

@@ -24,8 +24,8 @@
 //! tests.
 
 use extrap_trace::ProgramTrace;
-use pcpp_rt::sync::Mutex;
 use pcpp_rt::{Collection, Distribution, Index2, Program};
+use std::cell::RefCell;
 
 /// Problem parameters.
 #[derive(Clone, Copy, Debug)]
@@ -72,7 +72,7 @@ pub fn run(n_threads: usize, config: &GridConfig) -> (ProgramTrace, Vec<f64>) {
         vec![0.0; m * m]
     });
     // Scratch for the halos each thread gathered in the read phase.
-    let halos: Mutex<Vec<Halo>> = Mutex::new((0..n_threads).map(|_| Halo::new(m)).collect());
+    let halos: RefCell<Vec<Halo>> = RefCell::new((0..n_threads).map(|_| Halo::new(m)).collect());
 
     struct Halo {
         top: Vec<f64>,
@@ -92,7 +92,7 @@ pub fn run(n_threads: usize, config: &GridConfig) -> (ProgramTrace, Vec<f64>) {
     }
 
     let fused = config.fused;
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         let id = ctx.id();
         let my_pos = grid.local_indices(id).next();
         let row_bytes = (m * 8) as u32;
@@ -120,15 +120,15 @@ pub fn run(n_threads: usize, config: &GridConfig) -> (ProgramTrace, Vec<f64>) {
                         (0..m).map(|i| v[i * m]).collect()
                     });
                 }
-                halos.lock()[id.index()] = halo;
+                halos.borrow_mut()[id.index()] = halo;
             }
             if !fused {
                 // Two-phase Jacobi: everyone snapshots old halos first.
-                ctx.barrier();
+                ctx.barrier().await;
             }
             // Update the interior from the gathered halos.
             if let Some(pos) = my_pos {
-                let halo_guard = halos.lock();
+                let halo_guard = halos.borrow();
                 let halo = &halo_guard[id.index()];
                 let old = grid.read(ctx, pos, |v| v.clone());
                 let mut new = vec![0.0; m * m];
@@ -161,7 +161,7 @@ pub fn run(n_threads: usize, config: &GridConfig) -> (ProgramTrace, Vec<f64>) {
                 drop(halo_guard);
                 grid.write(ctx, pos, |v| *v = new);
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
     });
 

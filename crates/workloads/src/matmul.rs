@@ -104,7 +104,7 @@ pub fn run(n_threads: usize, config: &MatmulConfig) -> (ProgramTrace, Vec<f64>) 
         |_| vec![0.0; rows_per_group],
     );
 
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         let me = ctx.id().index();
         let in_grid = me < tg0 * tg1;
         let (my_tr, my_tc) = (me / tg1, me % tg1);
@@ -119,7 +119,7 @@ pub fn run(n_threads: usize, config: &MatmulConfig) -> (ProgramTrace, Vec<f64>) 
             } else {
                 Vec::new()
             };
-            ctx.barrier();
+            ctx.barrier().await;
             // Phase 2: local pointwise multiply + per-row partial sums.
             let mut partial = vec![0.0; rows_per_group];
             if in_grid {
@@ -147,7 +147,7 @@ pub fn run(n_threads: usize, config: &MatmulConfig) -> (ProgramTrace, Vec<f64>) 
                     });
                     ctx.charge_flops(rows_per_group as u64);
                 }
-                ctx.barrier();
+                ctx.barrier().await;
             }
             // Phase 4: the owners of column k store the row totals.
             if in_grid && col_group[k] == my_tc {
@@ -156,7 +156,7 @@ pub fn run(n_threads: usize, config: &MatmulConfig) -> (ProgramTrace, Vec<f64>) 
                     c.write(ctx, Index2(i, k), |v| *v = totals[ri]);
                 }
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
     });
 

@@ -77,7 +77,7 @@ impl Level {
 
     /// Weighted-Jacobi sweep: `u ← (1−ω)u + ω(u[i−1] + u[i+1] + h²f)/2`,
     /// element-wise over the width.  Two barriers (gather, then update).
-    fn smooth(&self, ctx: &mut ThreadCtx<'_>) {
+    async fn smooth(&self, ctx: &mut ThreadCtx<'_>) {
         const OMEGA: f64 = 2.0 / 3.0;
         let mut staged: Vec<(usize, Vec<f64>)> = Vec::new();
         for idx in self.u.local_indices(ctx.id()) {
@@ -103,15 +103,15 @@ impl Level {
             staged.push((i, new));
             ctx.charge_flops(7 * self.width as u64);
         }
-        ctx.barrier();
+        ctx.barrier().await;
         for (i, v) in staged {
             self.u.write(ctx, Index2(i, 0), |u| *u = v);
         }
-        ctx.barrier();
+        ctx.barrier().await;
     }
 
     /// Residual `r = f − A u` (A = second difference / h²).
-    fn residual(&self, ctx: &mut ThreadCtx<'_>) {
+    async fn residual(&self, ctx: &mut ThreadCtx<'_>) {
         let mut staged: Vec<(usize, Vec<f64>)> = Vec::new();
         for idx in self.u.local_indices(ctx.id()) {
             let i = idx.0;
@@ -133,11 +133,11 @@ impl Level {
             staged.push((i, res));
             ctx.charge_flops(6 * self.width as u64);
         }
-        ctx.barrier();
+        ctx.barrier().await;
         for (i, v) in staged {
             self.r.write(ctx, Index2(i, 0), |r| *r = v);
         }
-        ctx.barrier();
+        ctx.barrier().await;
     }
 }
 
@@ -164,21 +164,21 @@ pub fn run(n_threads: usize, config: &MgridConfig) -> (ProgramTrace, Vec<Vec<f64
     let smooth = config.smooth;
     let cycles = config.cycles;
 
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         // Load f on the finest level.
         for idx in levels[0].f.local_indices(ctx.id()) {
             let v: Vec<f64> = (0..width).map(|s| f_term(idx.0, levels[0].n, s)).collect();
             levels[0].f.write(ctx, idx, |f| *f = v);
         }
-        ctx.barrier();
+        ctx.barrier().await;
 
         for _cycle in 0..cycles {
             // Downstroke.
             for l in 0..depth - 1 {
                 for _ in 0..smooth {
-                    levels[l].smooth(ctx);
+                    levels[l].smooth(ctx).await;
                 }
-                levels[l].residual(ctx);
+                levels[l].residual(ctx).await;
                 // Restrict r to the next level's f (full weighting); the
                 // coarse point i sits under fine point 2i+1.
                 let (fine, coarse) = (&levels[l], &levels[l + 1]);
@@ -195,16 +195,16 @@ pub fn run(n_threads: usize, config: &MgridConfig) -> (ProgramTrace, Vec<Vec<f64
                     staged.push((i, restricted));
                     ctx.charge_flops(4 * width as u64);
                 }
-                ctx.barrier();
+                ctx.barrier().await;
                 for (i, v) in staged {
                     coarse.f.write(ctx, Index2(i, 0), |f| *f = v);
                     coarse.u.write(ctx, Index2(i, 0), |u| u.fill(0.0));
                 }
-                ctx.barrier();
+                ctx.barrier().await;
             }
             // Coarsest level: relax hard.
             for _ in 0..smooth * 6 {
-                levels[depth - 1].smooth(ctx);
+                levels[depth - 1].smooth(ctx).await;
             }
             // Upstroke.
             for l in (0..depth - 1).rev() {
@@ -231,7 +231,7 @@ pub fn run(n_threads: usize, config: &MgridConfig) -> (ProgramTrace, Vec<Vec<f64
                     staged.push((i, corr));
                     ctx.charge_flops(2 * width as u64);
                 }
-                ctx.barrier();
+                ctx.barrier().await;
                 for (i, corr) in staged {
                     fine.u.write(ctx, Index2(i, 0), |u| {
                         for (a, b) in u.iter_mut().zip(&corr) {
@@ -239,9 +239,9 @@ pub fn run(n_threads: usize, config: &MgridConfig) -> (ProgramTrace, Vec<Vec<f64
                         }
                     });
                 }
-                ctx.barrier();
+                ctx.barrier().await;
                 for _ in 0..smooth {
-                    levels[l].smooth(ctx);
+                    levels[l].smooth(ctx).await;
                 }
             }
         }

@@ -56,7 +56,7 @@ pub fn run(n_threads: usize, config: &PoissonConfig) -> (ProgramTrace, Vec<f64>)
     let gt = Collection::<f64>::build(dist(), |_| 0.0);
     let u = Collection::<f64>::build(dist(), |_| 0.0);
 
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         let my_rows: Vec<usize> = (0..p)
             .filter(|&r| g.owner(Index2(r, 0)) == ctx.id())
             .collect();
@@ -69,7 +69,7 @@ pub fn run(n_threads: usize, config: &PoissonConfig) -> (ProgramTrace, Vec<f64>)
                 g.write(ctx, Index2(r, j), |x| *x = v);
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         // Step 2: transpose (all-to-all; gt[k][i] = g[i][k]).
         for &k in &my_rows {
             for i in 0..p {
@@ -77,7 +77,7 @@ pub fn run(n_threads: usize, config: &PoissonConfig) -> (ProgramTrace, Vec<f64>)
                 gt.write(ctx, Index2(k, i), |x| *x = v);
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         // Step 3: for each transformed mode k (a local row of gt), solve
         // the tridiagonal system (A + lambda_k I) x = rhs along i.
         for &k in &my_rows {
@@ -107,7 +107,7 @@ pub fn run(n_threads: usize, config: &PoissonConfig) -> (ProgramTrace, Vec<f64>)
                 gt.write(ctx, Index2(k, i), |q| *q = v);
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         // Step 4: transpose back into u.
         for &i in &my_rows {
             for k in 0..p {
@@ -115,7 +115,7 @@ pub fn run(n_threads: usize, config: &PoissonConfig) -> (ProgramTrace, Vec<f64>)
                 u.write(ctx, Index2(i, k), |x| *x = v);
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         // Step 5: inverse DST along each local row.
         for &r in &my_rows {
             let row: Vec<f64> = (0..p).map(|j| u.read(ctx, Index2(r, j), |v| *v)).collect();
@@ -126,7 +126,7 @@ pub fn run(n_threads: usize, config: &PoissonConfig) -> (ProgramTrace, Vec<f64>)
                 u.write(ctx, Index2(r, j), |x| *x = v * scale);
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
     });
 
     let mut out = vec![0.0; p * p];

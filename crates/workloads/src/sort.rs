@@ -75,14 +75,14 @@ pub fn run(n_threads: usize, config: &SortConfig) -> (ProgramTrace, Vec<u32>) {
     });
     let stages = n_threads.trailing_zeros();
 
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         let id = ctx.id().index();
         let me = Index2(id, 0);
         // Local sort: ~B log B integer operations.
         blocks.write(ctx, me, |blk| blk.sort_unstable());
         let logb = (b.max(2) as f64).log2() as u64;
         ctx.charge_int_ops(b as u64 * logb);
-        ctx.barrier();
+        ctx.barrier().await;
         for k in 1..=stages {
             let ascending = (id >> k) & 1 == 0;
             for j in (0..k).rev() {
@@ -95,9 +95,9 @@ pub fn run(n_threads: usize, config: &SortConfig) -> (ProgramTrace, Vec<u32>) {
                 let other = blocks.get(ctx, Index2(partner, 0));
                 let kept = blocks.read(ctx, me, |mine| merge_split(mine, &other, keep_low));
                 ctx.charge_int_ops(2 * b as u64);
-                ctx.barrier();
+                ctx.barrier().await;
                 blocks.write(ctx, me, |blk| *blk = kept);
-                ctx.barrier();
+                ctx.barrier().await;
             }
         }
     });

@@ -102,7 +102,7 @@ pub fn run(n_threads: usize, config: &SparseConfig) -> (ProgramTrace, Vec<f64>) 
     let red = Reduction::new(n_threads);
     let iters = config.iters;
 
-    let trace = Program::new(n_threads).run(|ctx| {
+    let trace = Program::new(n_threads).run(async |ctx| {
         let me = ctx.id();
         let my = block_range(n, n_threads, me);
         let my_slot = Index2(me.index(), 0);
@@ -114,7 +114,7 @@ pub fn run(n_threads: usize, config: &SparseConfig) -> (ProgramTrace, Vec<f64>) 
                 }
             });
             ctx.charge_flops(2 * my.len() as u64);
-            red.sum(ctx, acc)
+            red.sum(ctx, acc).await
         };
         for _ in 0..iters {
             // Gather the full p vector: every remote block is one bulk
@@ -145,7 +145,7 @@ pub fn run(n_threads: usize, config: &SparseConfig) -> (ProgramTrace, Vec<f64>) 
                 q_local.push(sum);
             }
             qs.write(ctx, my_slot, |q| q.copy_from_slice(&q_local));
-            ctx.barrier();
+            ctx.barrier().await;
             // alpha = rr / (p . q)
             let mut pq = 0.0;
             ps.read(ctx, my_slot, |p| {
@@ -154,7 +154,7 @@ pub fn run(n_threads: usize, config: &SparseConfig) -> (ProgramTrace, Vec<f64>) 
                 }
             });
             ctx.charge_flops(2 * my.len() as u64);
-            let pq = red.sum(ctx, pq);
+            let pq = red.sum(ctx, pq).await;
             let alpha = rr / pq;
             // x += alpha p ; r -= alpha q ; rr' = r . r
             let p_local = ps.read(ctx, my_slot, |p| p.clone());
@@ -171,7 +171,7 @@ pub fn run(n_threads: usize, config: &SparseConfig) -> (ProgramTrace, Vec<f64>) 
                 }
             });
             ctx.charge_flops(6 * my.len() as u64);
-            let rr_next = red.sum(ctx, rr_new);
+            let rr_next = red.sum(ctx, rr_new).await;
             let beta = rr_next / rr;
             rr = rr_next;
             // p = r + beta p
@@ -182,7 +182,7 @@ pub fn run(n_threads: usize, config: &SparseConfig) -> (ProgramTrace, Vec<f64>) 
                 }
             });
             ctx.charge_flops(2 * my.len() as u64);
-            ctx.barrier();
+            ctx.barrier().await;
         }
     });
 

@@ -69,11 +69,11 @@ impl Reduction {
     ///
     /// Costs 2 barriers + `2(n−1)` remote accesses, exactly like a
     /// master-combine reduction in the original runtime.
-    pub fn sum(&self, ctx: &mut ThreadCtx<'_>, partial: f64) -> f64 {
+    pub async fn sum(&self, ctx: &mut ThreadCtx<'_>, partial: f64) -> f64 {
         let me = ctx.id().index();
         let n = ctx.n_threads();
         self.slots.write(ctx, Index2(me, 0), |v| *v = partial);
-        ctx.barrier();
+        ctx.barrier().await;
         if me == 0 {
             let mut acc = 0.0;
             for t in 0..n {
@@ -82,7 +82,7 @@ impl Reduction {
             }
             self.total.write(ctx, Index2(0, 0), |v| *v = acc);
         }
-        ctx.barrier();
+        ctx.barrier().await;
         self.total.read(ctx, Index2(0, 0), |v| *v)
     }
 }
@@ -107,12 +107,12 @@ impl VecReduction {
 
     /// Element-wise global sum with the same master-combine protocol as
     /// [`Reduction::sum`]: 2 barriers, `2(n−1)` remote vector transfers.
-    pub fn sum(&self, ctx: &mut ThreadCtx<'_>, partial: &[f64]) -> Vec<f64> {
+    pub async fn sum(&self, ctx: &mut ThreadCtx<'_>, partial: &[f64]) -> Vec<f64> {
         let me = ctx.id().index();
         let n = ctx.n_threads();
         self.slots
             .write(ctx, Index2(me, 0), |v| v.copy_from_slice(partial));
-        ctx.barrier();
+        ctx.barrier().await;
         if me == 0 {
             let mut acc = vec![0.0; partial.len()];
             for t in 0..n {
@@ -126,7 +126,7 @@ impl VecReduction {
             self.total
                 .write(ctx, Index2(0, 0), |v| v.copy_from_slice(&acc));
         }
-        ctx.barrier();
+        ctx.barrier().await;
         self.total.read(ctx, Index2(0, 0), |v| v.clone())
     }
 }
@@ -161,12 +161,12 @@ mod tests {
     fn reduction_sums_across_threads() {
         let n = 4;
         let red = Reduction::new(n);
-        let result = pcpp_rt::sync::Mutex::new(Vec::new());
+        let result = std::cell::RefCell::new(Vec::new());
         Program::new(n)
             .with_work_model(WorkModel::unit())
-            .run(|ctx| {
-                let total = red.sum(ctx, (ctx.id().0 + 1) as f64);
-                result.lock().push(total);
+            .run(async |ctx| {
+                let total = red.sum(ctx, (ctx.id().0 + 1) as f64).await;
+                result.borrow_mut().push(total);
             });
         let results = result.into_inner();
         assert_eq!(results, vec![10.0; n]);

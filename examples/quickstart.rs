@@ -19,7 +19,7 @@ fn main() {
     let partials = Collection::<f64>::build(Distribution::block_1d(n_threads, n_threads), |_| 0.0);
 
     let program = Program::new(n_threads);
-    let measured: ProgramTrace = program.run(|ctx| {
+    let measured: ProgramTrace = program.run(async |ctx| {
         let me = ctx.id();
         let my_slot = Index2(me.index(), 0);
         // Local phase.
@@ -29,14 +29,14 @@ fn main() {
             ctx.charge_flops(2);
         }
         partials.write(ctx, my_slot, |p| *p = acc);
-        ctx.barrier();
+        ctx.barrier().await;
         // Neighbour-combining phases (remote element reads).
         for _ in 0..2 {
             let right = (me.index() + 1) % ctx.n_threads();
             let theirs = partials.read(ctx, Index2(right, 0), |p| *p);
             ctx.charge_flops(1);
             partials.write(ctx, my_slot, |p| *p += theirs * 0.5);
-            ctx.barrier();
+            ctx.barrier().await;
         }
     });
 

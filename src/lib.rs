@@ -25,13 +25,13 @@
 //! // 1. Run a 4-thread program on "one processor" and record its trace.
 //! let program = Program::new(4);
 //! let coll = Collection::<f64>::build(Distribution::block_1d(16, 4), |i| i.0 as f64);
-//! let measured = program.run(|ctx| {
+//! let measured = program.run(async |ctx| {
 //!     let mut acc = 0.0;
 //!     for idx in coll.local_indices(ctx.id()) {
 //!         acc += coll.read(ctx, idx, |v| *v);
 //!         ctx.charge_flops(1);
 //!     }
-//!     ctx.barrier();
+//!     ctx.barrier().await;
 //! });
 //!
 //! // 2. Translate to idealized per-thread traces.

@@ -73,14 +73,14 @@ fn trace_files_round_trip_through_disk() {
 fn translation_intrusion_compensation_shrinks_times() {
     // Charging a recording overhead on the runtime and compensating it in
     // translation recovers (approximately) the uncompensated timing.
-    let clean = Program::new(4).run(|ctx| {
+    let clean = Program::new(4).run(async |ctx| {
         ctx.charge(DurationNs::from_us(100.0));
-        ctx.barrier();
+        ctx.barrier().await;
     });
     let noisy_program = Program::new(4).with_event_overhead(DurationNs::from_us(5.0));
-    let noisy = noisy_program.run(|ctx| {
+    let noisy = noisy_program.run(async |ctx| {
         ctx.charge(DurationNs::from_us(100.0));
-        ctx.barrier();
+        ctx.barrier().await;
     });
 
     let clean_set = translate(&clean, TranslateOptions::default()).unwrap();
