@@ -4,7 +4,8 @@
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_bench::{ring_program, ring_traces};
 use extrap_core::{
-    extrapolate, machine, CompiledProgram, Extrapolator, RecordMode, RunInput, SimScratch,
+    extrapolate, machine, CompiledProgram, Extrapolator, RecordMode, RunInput, ServicePolicy,
+    SimScratch,
 };
 use extrap_sim::SplitMix64;
 use extrap_time::{DurationNs, TimeNs};
@@ -28,19 +29,12 @@ fn drain(times: &[u64]) -> u64 {
     count
 }
 
-/// Like [`drain`], but cancels every other event before draining — the
-/// slab queue's O(1) cancel and lazy tombstone purge under churn.
-fn drain_with_cancel(times: &[u64]) -> u64 {
+/// Like [`drain`], but schedules through the engine's FIFO lane; with
+/// non-decreasing `times` every schedule and pop is O(1).
+fn drain_lane(times: &[u64]) -> u64 {
     let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::new();
-    let mut tokens = Vec::with_capacity(times.len() / 2);
     for (i, &t) in times.iter().enumerate() {
-        let tok = eng.schedule(TimeNs(t), i as u64);
-        if i % 2 == 0 {
-            tokens.push(tok);
-        }
-    }
-    for tok in tokens.drain(..) {
-        eng.cancel(tok);
+        eng.schedule_lane(TimeNs(t), i as u64);
     }
     let mut count = 0u64;
     while eng.next().is_some() {
@@ -134,6 +128,43 @@ fn main() {
         });
     }
 
+    // The Poll service policy on the suite: every compute segment is
+    // chopped into 100 us chunks, one poll-tick event per chunk.
+    {
+        let programs: Vec<CompiledProgram> = Bench::all()
+            .iter()
+            .map(|bench| {
+                let trace = bench.trace(16, Scale::Tiny);
+                let set = extrap_trace::translate(&trace, Default::default()).unwrap();
+                CompiledProgram::compile(&set).unwrap()
+            })
+            .collect();
+        let session = Extrapolator::new(machine::default_distributed())
+            .policy(ServicePolicy::poll_us(100.0))
+            .record_mode(RecordMode::MetricsOnly);
+        let mut scratch = SimScratch::default();
+        let mut run_all = || -> u64 {
+            programs
+                .iter()
+                .map(|program| {
+                    session
+                        .run(RunInput::CompiledScratch {
+                            program,
+                            scratch: &mut scratch,
+                        })
+                        .unwrap()
+                        .events_dispatched
+                })
+                .sum()
+        };
+        let events = run_all();
+        h.bench_throughput(
+            "simulate_poll_suite_16t",
+            Throughput::Elements(events),
+            || black_box(run_all()),
+        );
+    }
+
     // The raw event queue over three timestamp shapes: uniform, skewed
     // (almost everything near-term, a sparse far-future tail), and
     // clustered (tight equal-time bursts separated by long gaps).
@@ -153,13 +184,13 @@ fn main() {
     let clustered: Vec<u64> = (0..10_000u64).map(|i| (i / 100) * 1_000_000).collect();
 
     h.bench("event_queue_10k_heap", || black_box(drain(&uniform)));
-    h.bench("event_queue_cancel_10k_heap", || {
-        black_box(drain_with_cancel(&uniform))
-    });
     h.bench("event_queue_skewed_10k_heap", || black_box(drain(&skewed)));
     h.bench("event_queue_clustered_10k_heap", || {
         black_box(drain(&clustered))
     });
+    // The poll-tick shape: non-decreasing times with equal-time runs.
+    let ascending: Vec<u64> = (0..10_000u64).map(|i| i / 4).collect();
+    h.bench("event_queue_lane_10k", || black_box(drain_lane(&ascending)));
 
     h.finish();
 }

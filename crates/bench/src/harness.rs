@@ -50,10 +50,14 @@ impl Harness {
     /// budget, `--json <path>` writes machine-readable results, and
     /// cargo's own `--bench` flag is ignored.
     pub fn from_args(target: &str) -> Harness {
+        Harness::from_arg_list(target, std::env::args().skip(1))
+    }
+
+    /// [`from_args`](Harness::from_args) over an explicit argument list.
+    fn from_arg_list(target: &str, mut args: impl Iterator<Item = String>) -> Harness {
         let mut filters = Vec::new();
         let mut quick = false;
         let mut json_path = None;
-        let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--bench" | "--exact" => {}
@@ -61,10 +65,10 @@ impl Harness {
                 "--json" => json_path = args.next(),
                 // Value-taking flags parsed by the bench targets
                 // themselves (e.g. `sweep`'s pool size and problem
-                // scale, `serve`'s client count); consume the value
-                // here so it is not mistaken for a benchmark-name
-                // filter.
-                "--workers" | "--scale" | "--clients" => {
+                // scale, `serve`'s client count, `repr`'s workload
+                // list); consume the value here so it is not mistaken
+                // for a benchmark-name filter.
+                "--workers" | "--scale" | "--clients" | "--benches" => {
                     let _ = args.next();
                 }
                 a if a.starts_with("--") => {}
@@ -304,6 +308,23 @@ mod tests {
         assert!(h.results[0].median_ns > 0.0);
         assert!(count > 0);
         h.finish();
+    }
+
+    #[test]
+    fn value_flags_are_not_filters() {
+        let args = [
+            "--bench",
+            "--scale",
+            "paper",
+            "--benches",
+            "mgrid,poisson",
+            "--json",
+            "out.json",
+            "lane",
+        ];
+        let h = Harness::from_arg_list("test", args.into_iter().map(String::from));
+        assert_eq!(h.filters, ["lane"]);
+        assert_eq!(h.json_path.as_deref(), Some("out.json"));
     }
 
     #[test]

@@ -506,8 +506,11 @@ impl<'p, N: NetModel> Sim<'p, N> {
                     let gen = th.gen;
                     match self.params.policy {
                         ServicePolicy::Poll { interval } => {
+                            // Poll ticks are most of a Poll run's events
+                            // and mostly come in time order: the FIFO
+                            // lane takes them in O(1), same pop order.
                             let first = now + interval.min(d);
-                            self.queue.schedule(first, Ev::PollTick(t as u32, gen));
+                            self.queue.schedule_lane(first, Ev::PollTick(t as u32, gen));
                         }
                         _ => {
                             self.queue.schedule(now + d, Ev::ComputeDone(t as u32, gen));
@@ -657,7 +660,7 @@ impl<'p, N: NetModel> Sim<'p, N> {
             _ => unreachable!("poll tick under non-poll policy"),
         };
         let next = now + delay + interval.min(remaining);
-        self.queue.schedule(next, Ev::PollTick(t as u32, gen));
+        self.queue.schedule_lane(next, Ev::PollTick(t as u32, gen));
     }
 
     /// Services every queued request/write, returning the total time

@@ -1,49 +1,25 @@
 //! The event queue and simulation clock.
 //!
-//! The engine layers a simulation clock and O(1) token cancellation on
-//! top of an inline-key binary heap of pending events ([`crate::heap`]),
-//! which pops in `(time, seq)` order — FIFO at equal timestamps.
+//! Pending events live in two sorted stores that share one `(time, seq)`
+//! key and one sequence counter:
 //!
-//! Cancellation state lives in a tiny slab of per-event `gen` + flag
-//! records addressed by recycled slot indices.  Cancelling flags the
-//! slot and goes through no queue surgery and no side table; cancelled
-//! entries are purged lazily when they surface at the front, so the
-//! per-pop cost is a flag check instead of the `HashSet` probe the
-//! first implementation paid on every event.  Tokens are
-//! generation-stamped: a slot's generation is bumped whenever its event
-//! fires or is cancelled, so stale tokens can never cancel a recycled
-//! slot.
+//! * an inline-key binary heap ([`crate::heap`]) for arbitrary schedules,
+//!   O(log n) per operation;
+//! * a FIFO lane, a `VecDeque` that only ever appends entries at or after
+//!   its last timestamp, O(1) per operation.
+//!
+//! [`Engine::schedule_lane`] appends to the lane when the new time keeps
+//! it sorted and falls back to the heap otherwise, so the lane is always
+//! sorted by `(time, seq)`.  [`Engine::next`] pops whichever front is
+//! smaller.  Merging two sorted sequences on the same key yields exactly
+//! the order one heap holding every entry would pop, so routing an event
+//! through the lane changes its cost and nothing else: tie-breaks (FIFO
+//! at equal timestamps) and the dispatch count are identical by
+//! construction.
 
 use crate::heap::{EventEntry, HeapScheduler};
 use extrap_time::{DurationNs, TimeNs};
-
-/// A handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Tokens are generation-stamped: once the event fires or is cancelled
-/// the token goes stale, and cancelling a stale token is a `false` no-op
-/// even if its slab slot has been reused by a later event.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventToken {
-    slot: u32,
-    gen: u32,
-}
-
-#[cfg(test)]
-impl EventToken {
-    /// Test-only constructor for forging tokens.
-    fn forged(slot: u32, gen: u32) -> EventToken {
-        EventToken { slot, gen }
-    }
-}
-
-/// Per-event cancellation state, one per outstanding queue entry.  Slots
-/// are recycled through a free list once their entry leaves the queue;
-/// the generation stamp stales every token handed out for the slot's
-/// previous occupants.
-struct Slot {
-    gen: u32,
-    cancelled: bool,
-}
+use std::collections::VecDeque;
 
 /// A deterministic discrete-event engine over payloads of type `E`.
 ///
@@ -66,11 +42,8 @@ struct Slot {
 pub struct Engine<E> {
     now: TimeNs,
     next_seq: u64,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
     queue: HeapScheduler<E>,
-    live: usize,
-    tombstones: usize,
+    lane: VecDeque<EventEntry<E>>,
     dispatched: u64,
 }
 
@@ -89,11 +62,8 @@ impl<E: Copy> Engine<E> {
         Engine {
             now: TimeNs::ZERO,
             next_seq: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
             queue: HeapScheduler::new(),
-            live: 0,
-            tombstones: 0,
+            lane: VecDeque::new(),
             dispatched: 0,
         }
     }
@@ -112,17 +82,14 @@ impl<E: Copy> Engine<E> {
     }
 
     /// Clears the clock, the queue, and all counters while keeping the
-    /// slab/queue allocations, so one engine can be recycled across many
-    /// simulations (the sweep engine's per-worker scratch does exactly
-    /// this).
+    /// heap and lane allocations, so one engine can be recycled across
+    /// many simulations (the sweep engine's per-worker scratch does
+    /// exactly this).
     pub fn reset(&mut self) {
         self.now = TimeNs::ZERO;
         self.next_seq = 0;
-        self.slots.clear();
-        self.free.clear();
         self.queue.clear();
-        self.live = 0;
-        self.tombstones = 0;
+        self.lane.clear();
         self.dispatched = 0;
     }
 
@@ -131,7 +98,71 @@ impl<E: Copy> Engine<E> {
     /// # Panics
     /// Panics if `at` is in the simulated past — schedules must never
     /// rewind the clock.
-    pub fn schedule(&mut self, at: TimeNs, payload: E) -> EventToken {
+    pub fn schedule(&mut self, at: TimeNs, payload: E) {
+        let entry = self.entry(at, payload);
+        self.queue.push(entry);
+    }
+
+    /// Schedules `payload` at absolute time `at` through the FIFO lane:
+    /// O(1) when `at` is no earlier than the lane's last entry, and a
+    /// plain [`schedule`](Self::schedule) otherwise.  Dispatch order is
+    /// the same either way; the lane pays off for event streams whose
+    /// times mostly come in non-decreasing order.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the simulated past.
+    pub fn schedule_lane(&mut self, at: TimeNs, payload: E) {
+        match self.lane.back() {
+            Some(last) if at < last.time => self.schedule(at, payload),
+            _ => {
+                let entry = self.entry(at, payload);
+                self.lane.push_back(entry);
+            }
+        }
+    }
+
+    /// Schedules `payload` after `delay` from now.
+    pub fn schedule_after(&mut self, delay: DurationNs, payload: E) {
+        self.schedule(self.now + delay, payload)
+    }
+
+    /// Pops the next event, advancing the clock to its timestamp.
+    #[allow(clippy::should_implement_trait)] // the driver loop reads naturally as `while eng.next()`
+    pub fn next(&mut self) -> Option<(TimeNs, E)> {
+        let from_lane = match (self.lane.front(), self.queue.peek_min()) {
+            (Some(lane), Some(heap)) => lane.key() < heap.key(),
+            (lane, _) => lane.is_some(),
+        };
+        let entry = if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.queue.pop_min()
+        }?;
+        debug_assert!(entry.time >= self.now);
+        self.now = entry.time;
+        self.dispatched += 1;
+        Some((entry.time, entry.payload))
+    }
+
+    /// The timestamp of the next event, without dispatching it.
+    pub fn peek_time(&self) -> Option<TimeNs> {
+        let lane = self.lane.front().map(|e| e.time);
+        let heap = self.queue.peek_min().map(|e| e.time);
+        lane.into_iter().chain(heap).min()
+    }
+
+    /// Count of pending events.
+    pub fn len(&self) -> usize {
+        self.queue.len() + self.lane.len()
+    }
+
+    /// True if no events remain.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Stamps a new entry with the next sequence number.
+    fn entry(&mut self, at: TimeNs, payload: E) -> EventEntry<E> {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at:?} < now {:?}",
@@ -139,120 +170,11 @@ impl<E: Copy> Engine<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (slot, gen) = match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.cancelled = false;
-                (slot, s.gen)
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("event slab exhausted u32 slots");
-                self.slots.push(Slot {
-                    gen: 0,
-                    cancelled: false,
-                });
-                (slot, 0)
-            }
-        };
-        self.live += 1;
-        self.queue.push(EventEntry {
+        EventEntry {
             time: at,
             seq,
-            slot,
             payload,
-        });
-        EventToken { slot, gen }
-    }
-
-    /// Schedules `payload` after `delay` from now.
-    pub fn schedule_after(&mut self, delay: DurationNs, payload: E) -> EventToken {
-        self.schedule(self.now + delay, payload)
-    }
-
-    /// Cancels a scheduled event in O(1).  Returns `true` if the event
-    /// had not yet fired (or been cancelled); tokens of already-fired
-    /// events are stale and report `false` without leaving any residue.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        let Some(slot) = self.slots.get_mut(token.slot as usize) else {
-            return false;
-        };
-        // A matching generation means the token's event is still pending:
-        // firing, cancelling, and recycling all bump the stamp, and a new
-        // token is only handed out (with the bumped stamp) once the slot
-        // is occupied again.
-        if slot.gen != token.gen {
-            return false;
         }
-        debug_assert!(!slot.cancelled);
-        slot.cancelled = true;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.live -= 1;
-        self.tombstones += 1;
-        true
-    }
-
-    /// Pops the next live event, advancing the clock to its timestamp.
-    #[allow(clippy::should_implement_trait)] // the driver loop reads naturally as `while eng.next()`
-    pub fn next(&mut self) -> Option<(TimeNs, E)> {
-        while let Some(entry) = self.queue.pop_min() {
-            if self.release(entry.slot) {
-                self.tombstones -= 1;
-                continue;
-            }
-            debug_assert!(entry.time >= self.now);
-            self.now = entry.time;
-            self.live -= 1;
-            self.dispatched += 1;
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    /// The timestamp of the next live event, without dispatching it.
-    pub fn peek_time(&mut self) -> Option<TimeNs> {
-        loop {
-            let entry = self.queue.peek_min()?;
-            let (time, slot) = (entry.time, entry.slot);
-            if !self.slots[slot as usize].cancelled {
-                return Some(time);
-            }
-            self.queue.pop_min();
-            self.release(slot);
-            self.tombstones -= 1;
-        }
-    }
-
-    /// Count of pending (live) events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True if no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Cancelled events still occupying queue slots (drained lazily as
-    /// they surface).  Diagnostic: after the queue runs dry this is
-    /// always zero.
-    pub fn tombstones(&self) -> usize {
-        self.tombstones
-    }
-
-    // ----- slab internals ---------------------------------------------
-
-    /// Returns `slot` to the free list once its queue entry has been
-    /// popped, staling any outstanding token.  Reports whether the event
-    /// had been cancelled (cancellation already bumped the stamp).
-    fn release(&mut self, slot: u32) -> bool {
-        let s = &mut self.slots[slot as usize];
-        let cancelled = s.cancelled;
-        if !cancelled {
-            s.gen = s.gen.wrapping_add(1);
-        }
-        s.cancelled = false;
-        self.free.push(slot);
-        cancelled
     }
 }
 
@@ -281,65 +203,28 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_dispatch() {
+    fn lane_and_heap_ties_pop_in_schedule_order() {
         let mut eng: Engine<&str> = Engine::new();
-        let t1 = eng.schedule(TimeNs(10), "a");
-        eng.schedule(TimeNs(20), "b");
-        assert!(eng.cancel(t1));
-        assert!(!eng.cancel(t1), "double cancel reports false");
-        assert_eq!(eng.next().unwrap().1, "b");
-        assert!(eng.next().is_none());
+        eng.schedule(TimeNs(5), "heap-0");
+        eng.schedule_lane(TimeNs(5), "lane-1");
+        eng.schedule(TimeNs(5), "heap-2");
+        eng.schedule_lane(TimeNs(5), "lane-3");
+        let got: Vec<&str> = std::iter::from_fn(|| eng.next().map(|(_, e)| e)).collect();
+        assert_eq!(got, ["heap-0", "lane-1", "heap-2", "lane-3"]);
     }
 
     #[test]
-    fn cancel_unknown_token_is_false() {
-        let mut eng: Engine<u8> = Engine::new();
-        assert!(!eng.cancel(EventToken::forged(42, 0)));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false_and_leaves_no_tombstone() {
-        // Regression: the HashSet-based queue recorded a tombstone for
-        // events cancelled *after* they fired and never drained it.
-        let mut eng: Engine<u8> = Engine::new();
-        let t = eng.schedule(TimeNs(1), 1);
-        assert_eq!(eng.next(), Some((TimeNs(1), 1)));
-        assert!(!eng.cancel(t), "event already fired");
-        assert_eq!(eng.tombstones(), 0);
-    }
-
-    #[test]
-    fn tombstones_drain_to_zero_on_pop() {
-        let mut eng: Engine<u32> = Engine::new();
-        let mut tokens = Vec::new();
-        for i in 0..64 {
-            tokens.push(eng.schedule(TimeNs(i % 9), i as u32));
-        }
-        for t in tokens.iter().step_by(2) {
-            assert!(eng.cancel(*t));
-        }
-        assert_eq!(eng.tombstones(), 32);
-        assert_eq!(eng.len(), 32);
-        let mut popped = 0;
-        while eng.next().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, 32);
-        assert_eq!(eng.tombstones(), 0, "cancelled slots are purged lazily");
-        assert_eq!(eng.len(), 0);
-    }
-
-    #[test]
-    fn stale_token_cannot_cancel_a_recycled_slot() {
+    fn lane_falls_back_to_the_heap_when_time_goes_backwards() {
         let mut eng: Engine<&str> = Engine::new();
-        let stale = eng.schedule(TimeNs(1), "first");
-        eng.next();
-        // The slab now recycles the freed slot for a new event; the old
-        // token must not be able to cancel it.
-        let fresh = eng.schedule(TimeNs(2), "second");
-        assert!(!eng.cancel(stale));
-        assert_eq!(eng.next(), Some((TimeNs(2), "second")));
-        assert!(!eng.cancel(fresh), "fresh token is stale after dispatch");
+        eng.schedule_lane(TimeNs(10), "a");
+        eng.schedule_lane(TimeNs(30), "c");
+        eng.schedule_lane(TimeNs(20), "b"); // earlier than the lane's tail
+        assert_eq!(eng.lane.len(), 2);
+        assert_eq!(eng.len(), 3);
+        assert_eq!(eng.peek_time(), Some(TimeNs(10)));
+        let got: Vec<(u64, &str)> =
+            std::iter::from_fn(|| eng.next().map(|(t, e)| (t.as_ns(), e))).collect();
+        assert_eq!(got, [(10, "a"), (20, "b"), (30, "c")]);
     }
 
     #[test]
@@ -352,25 +237,27 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled() {
+    #[should_panic(expected = "past")]
+    fn lane_scheduling_into_past_panics() {
         let mut eng: Engine<u8> = Engine::new();
-        let t = eng.schedule(TimeNs(1), 1);
-        eng.schedule(TimeNs(2), 2);
-        eng.cancel(t);
-        assert_eq!(eng.peek_time(), Some(TimeNs(2)));
-        assert_eq!(eng.len(), 1);
-        assert_eq!(eng.next(), Some((TimeNs(2), 2)));
-        assert_eq!(eng.peek_time(), None);
+        eng.schedule(TimeNs(10), 1);
+        eng.next();
+        eng.schedule_lane(TimeNs(5), 2);
     }
 
     #[test]
-    fn dispatched_counts_only_live_events() {
+    fn peek_sees_both_stores() {
         let mut eng: Engine<u8> = Engine::new();
-        let t = eng.schedule(TimeNs(1), 1);
-        eng.schedule(TimeNs(2), 2);
-        eng.cancel(t);
-        while eng.next().is_some() {}
-        assert_eq!(eng.dispatched(), 1);
+        assert_eq!(eng.peek_time(), None);
+        eng.schedule_lane(TimeNs(2), 2);
+        eng.schedule(TimeNs(1), 1);
+        assert_eq!(eng.peek_time(), Some(TimeNs(1)));
+        assert_eq!(eng.next(), Some((TimeNs(1), 1)));
+        assert_eq!(eng.peek_time(), Some(TimeNs(2)));
+        assert_eq!(eng.next(), Some((TimeNs(2), 2)));
+        assert_eq!(eng.peek_time(), None);
+        assert!(eng.is_empty());
+        assert_eq!(eng.dispatched(), 2);
     }
 
     #[test]
@@ -385,17 +272,15 @@ mod tests {
     #[test]
     fn reset_recycles_the_engine() {
         let mut eng: Engine<u8> = Engine::new();
-        let t = eng.schedule(TimeNs(10), 1);
-        eng.schedule(TimeNs(20), 2);
-        eng.cancel(t);
+        eng.schedule(TimeNs(10), 1);
+        eng.schedule_lane(TimeNs(20), 2);
         eng.next();
         eng.reset();
         assert_eq!(eng.now(), TimeNs::ZERO);
         assert_eq!(eng.dispatched(), 0);
         assert_eq!(eng.len(), 0);
-        assert_eq!(eng.tombstones(), 0);
         // A full re-run behaves exactly like a fresh engine.
-        eng.schedule(TimeNs(5), 7);
+        eng.schedule_lane(TimeNs(5), 7);
         assert_eq!(eng.next(), Some((TimeNs(5), 7)));
     }
 

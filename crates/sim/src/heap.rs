@@ -1,24 +1,21 @@
-//! The engine's pending-event store: a binary min-heap with keys and
-//! payloads inline, so scheduling and dispatching never leave the
-//! heap's contiguous storage.  O(log n) per operation and insensitive
-//! to the timestamp distribution — at the small queue depths of the
-//! paper's workloads the log factor is a handful of comparisons on hot
-//! cache lines.
+//! The engine's general pending-event store: a binary min-heap with
+//! keys and payloads inline, so scheduling and dispatching never leave
+//! the heap's contiguous storage.  O(log n) per operation and
+//! insensitive to the timestamp distribution — at the small queue
+//! depths of the paper's workloads the log factor is a handful of
+//! comparisons on hot cache lines.
 
 use extrap_time::TimeNs;
 
-/// One pending event: the `(time, seq)` ordering key, the slab slot
-/// carrying the event's cancellation state, and the payload itself.
-/// Everything a dispatch needs is inline, so the heap never chases a
-/// side table while reordering its storage.
+/// One pending event: the `(time, seq)` ordering key and the payload
+/// itself.  Everything a dispatch needs is inline, so the heap never
+/// chases a side table while reordering its storage.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventEntry<E> {
     /// Absolute event timestamp.
     pub time: TimeNs,
     /// Schedule-order sequence number (the FIFO tie-breaker).
     pub seq: u64,
-    /// Slab slot holding this event's cancellation state.
-    pub slot: u32,
     /// The event payload.
     pub payload: E,
 }
@@ -29,7 +26,7 @@ impl<E> EventEntry<E> {
     /// `u64` with derived (numeric) ordering, so the packing is exactly
     /// lexicographic.
     #[inline]
-    fn key(&self) -> u128 {
+    pub fn key(&self) -> u128 {
         ((self.time.0 as u128) << 64) | self.seq as u128
     }
 }
@@ -70,6 +67,11 @@ impl<E: Copy> HeapScheduler<E> {
     /// removing it.
     pub fn peek_min(&self) -> Option<&EventEntry<E>> {
         self.heap.first()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Removes every entry, keeping the allocation for reuse.
@@ -137,13 +139,11 @@ mod tests {
         let a = EventEntry {
             time: TimeNs(1),
             seq: u64::MAX,
-            slot: 0,
             payload: (),
         };
         let b = EventEntry {
             time: TimeNs(2),
             seq: 0,
-            slot: 0,
             payload: (),
         };
         assert!(a.key() < b.key());
