@@ -1,27 +1,20 @@
-//! The out-of-core streaming pipeline, end to end: a synthetic program
-//! trace on disk → chunked [`ProgramStream`] over a [`FileSource`] →
-//! fused epoch-translate + incremental compile
-//! ([`compile_program_stream`]) → one extrapolation run.  Reported as
-//! MB/s over the on-disk trace bytes, plus the streaming machinery's
-//! peak resident bytes for the small and huge inputs.
+//! The ingest pipeline, end to end: a synthetic program trace on disk →
+//! [`read_program_file`] (read, decode, validate) → [`translate`] →
+//! [`CompiledProgram::compile`] → one extrapolation run.  Reported as
+//! MB/s over the on-disk trace bytes, for a small input and a "huge"
+//! one holding the same per-epoch structure with 10x the barrier
+//! epochs.  The rows are still called `pipeline_stream*` so
+//! `check_bench_regression.py` finds their baselines in
+//! `BENCH_pipeline.json`.
 //!
-//! The memory rows are the point of this target: the huge input holds
-//! the program *structure* (threads, per-epoch work) fixed and scales
-//! the record count ~10x by adding barrier epochs — exactly the
-//! multi-GB long-running-program shape — and the bench hard-asserts
-//! the machinery peak stays flat (< 1.5x).  The timing rows feed the
-//! usual `check_bench_regression.py` gate via `BENCH_pipeline.json`.
-//!
-//! `--scale huge` multiplies both inputs' epoch counts by 10 (the
-//! "small" file is then itself 10x-records), keeping the flatness
-//! probe meaningful at any scale.
+//! `--scale huge` multiplies both inputs' epoch counts by 10.
 
 use extrap_bench::harness::{Harness, Throughput};
-use extrap_core::{compile_program_stream, machine, Extrapolator};
+use extrap_core::{machine, CompiledProgram, Extrapolator};
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
-use extrap_trace::stream::ProgramStream;
-use extrap_trace::ProgramTrace;
+use extrap_trace::reader::read_program_file;
+use extrap_trace::{translate, ProgramTrace};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -30,8 +23,7 @@ const BASE_EPOCHS: usize = 48;
 
 /// A phase-structured program whose record count scales with `epochs`
 /// while its per-epoch structure (threads, accesses, elements) stays
-/// fixed — the shape under which the translate machinery's residency
-/// must stay flat.
+/// fixed.
 fn synthetic(epochs: usize) -> ProgramTrace {
     let mut p = PhaseProgram::new(THREADS);
     for e in 0..epochs {
@@ -80,17 +72,16 @@ fn write_temp(trace: &ProgramTrace, tag: &str) -> (PathBuf, u64) {
     (path, len)
 }
 
-/// One full pipeline pass over the on-disk trace: stream → fused
-/// translate+compile → one extrapolation.  Returns (predicted
-/// makespan ns, machinery peak resident bytes).
-fn run_pipeline(path: &PathBuf) -> (u64, usize) {
-    let mut stream = ProgramStream::open(path).expect("open trace stream");
-    let (program, stats) =
-        compile_program_stream(&mut stream, Default::default()).expect("streaming compile");
+/// One full pipeline pass over the on-disk trace: read → translate →
+/// compile → one extrapolation.  Returns the predicted makespan in ns.
+fn run_pipeline(path: &PathBuf) -> u64 {
+    let trace = read_program_file(path).expect("read trace");
+    let set = translate(&trace, Default::default()).expect("translate");
+    let program = CompiledProgram::compile(&set).expect("compile");
     let pred = Extrapolator::new(machine::default_distributed())
         .run(&program)
         .expect("extrapolate");
-    (pred.exec_time().0, stats.peak_resident_bytes)
+    pred.exec_time().0
 }
 
 fn main() {
@@ -120,23 +111,9 @@ fn main() {
         huge_trace.records.len()
     );
 
-    // The flatness gate, first and unconditionally: 10x the records
-    // through the same structure must not grow the streaming
-    // machinery's peak residency.  (The compiled program — the
-    // pipeline's *product* — necessarily grows; the claim is about the
-    // translate/compile machinery, as for the PR-4 lint probe.)
-    let (small_pred, small_peak) = run_pipeline(&small_path);
-    let (huge_pred, huge_peak) = run_pipeline(&huge_path);
-    println!(
-        "machinery peak resident: small {small_peak} B, huge {huge_peak} B \
-         ({:.2}x for 10x records)",
-        huge_peak as f64 / small_peak.max(1) as f64
-    );
-    assert!(
-        (huge_peak as f64) < small_peak as f64 * 1.5,
-        "streaming pipeline residency grew with record count: \
-         {small_peak} -> {huge_peak} bytes for 10x records"
-    );
+    // Predictions sanity: both inputs extrapolate to something.
+    let (small_pred, huge_pred) = (run_pipeline(&small_path), run_pipeline(&huge_path));
+    assert!(small_pred > 0 && huge_pred > small_pred);
 
     let mut h = Harness::from_args("pipeline");
 
@@ -149,16 +126,8 @@ fn main() {
         Throughput::Bytes(huge_bytes),
         || black_box(run_pipeline(&huge_path)),
     );
-
-    // The residency numbers as rows, so the committed baseline pins
-    // them and `check_bench_regression.py` flags growth beyond 2x.
-    // (Values are bytes, not nanoseconds; the gate only ratios them.)
-    h.record_samples("pipeline_peak_resident_small", &[small_peak as f64], None);
-    h.record_samples("pipeline_peak_resident_huge", &[huge_peak as f64], None);
     h.finish();
 
-    // Predictions sanity: both inputs extrapolated to something.
-    assert!(small_pred > 0 && huge_pred > small_pred);
     let _ = std::fs::remove_file(&small_path);
     let _ = std::fs::remove_file(&huge_path);
 }

@@ -639,14 +639,13 @@ fn check_trace_file(input: &str) -> Result<(), String> {
 /// and/or parameter configs *before* spending simulation time on them.
 ///
 /// Inputs are sniffed by content: the `XTRP`/`XTPS` magic selects the
-/// program-trace or trace-set linter (decoded **raw** through the
-/// streaming reader, so a corrupted file is inspected in full instead
-/// of failing at the first broken invariant); anything else is parsed
-/// as a `key = value` parameter file.  Directories are recursed for
-/// `.xtrp`/`.xtps`/`.cfg` files; the expanded list is path-sorted so
-/// the output is deterministic regardless of worker count.  Files are
-/// linted in parallel (`--jobs N`), each worker recycling one stream
-/// arena.  `--machine M` additionally lints a named preset.  Exits
+/// program-trace or trace-set linter (decoded **raw**, so a corrupted
+/// file is inspected in full instead of failing at the first broken
+/// invariant); anything else is parsed as a `key = value` parameter
+/// file.  Directories are recursed for `.xtrp`/`.xtps`/`.cfg` files;
+/// the expanded list is path-sorted so the output is deterministic
+/// regardless of worker count.  Files are linted in parallel
+/// (`--jobs N`).  `--machine M` additionally lints a named preset.  Exits
 /// nonzero when any error-severity diagnostic survives `--allow CODE`
 /// filtering, or — under `--deny-warnings` — any warning does.
 ///
@@ -724,12 +723,7 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
             apply_allow(extrap_lint::lint_params(&params), &allow),
         ));
     }
-    let results = extrap_core::sweep::parallel_map_with(
-        &files,
-        jobs,
-        extrap_trace::stream::StreamArena::new,
-        |arena, _i, path| lint_one(path, arena),
-    );
+    let results = extrap_core::sweep::parallel_map(&files, jobs, |_i, path| lint_one(path));
     for (path, result) in files.iter().zip(results) {
         reports.push((path.clone(), apply_allow(result?, &allow)));
     }
@@ -771,25 +765,29 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
     }
 }
 
-/// Lints one input file: binary traces go through the streaming linter
-/// (bounded memory, arena recycled across files by the caller);
-/// anything else is treated as UTF-8 parameter config text.
-fn lint_one(
-    path: &str,
-    arena: &mut extrap_trace::stream::StreamArena,
-) -> Result<extrap_lint::Report, String> {
-    match extrap_lint::lint_trace_file(path, arena) {
-        Ok(Some(report)) => Ok(report),
-        Ok(None) => {
-            let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+/// Lints one input file, dispatching on its magic bytes: binary traces
+/// are decoded raw and run through the trace passes; anything else is
+/// treated as UTF-8 parameter config text.
+fn lint_one(path: &str) -> Result<extrap_lint::Report, String> {
+    use extrap_trace::{format, TraceError, TraceKind};
+    let in_file = |e: TraceError| e.in_file(path).to_string();
+    let data = std::fs::read(path).map_err(|e| in_file(e.into()))?;
+    match format::trace_kind(&data) {
+        Some(TraceKind::Program) => {
+            let trace = format::decode_program_raw(&data).map_err(in_file)?;
+            Ok(extrap_lint::lint_program(&trace))
+        }
+        Some(TraceKind::Set) => {
+            let set = format::decode_set_raw(&data).map_err(in_file)?;
+            Ok(extrap_lint::lint_set(&set))
+        }
+        None => {
             let text = String::from_utf8(data)
                 .map_err(|_| format!("{path}: not a trace file and not UTF-8 config text"))?;
             let params = SimParams::from_config_text_unvalidated(&text)
                 .map_err(|e| format!("{path}: {e}"))?;
             Ok(extrap_lint::lint_params(&params))
         }
-        // Trace errors off the streaming linter already carry the path.
-        Err(e) => Err(e.to_string()),
     }
 }
 
@@ -865,22 +863,22 @@ fn cmd_lint_fix(
         Program(extrap_trace::ProgramTrace),
         Set(extrap_trace::TraceSet),
     }
-    let (fixed, notes, report) = match data.get(..4) {
-        Some(b"XTRP") => {
+    let (fixed, notes, report) = match extrap_trace::format::trace_kind(&data) {
+        Some(extrap_trace::TraceKind::Program) => {
             let trace = extrap_trace::format::decode_program_raw(&data)
                 .map_err(|e| format!("{input}: {e}"))?;
             let out = extrap_lint::fix_program(&trace);
             let report = extrap_lint::lint_program(&out.value);
             (Fixed::Program(out.value), out.notes, report)
         }
-        Some(b"XTPS") => {
+        Some(extrap_trace::TraceKind::Set) => {
             let set =
                 extrap_trace::format::decode_set_raw(&data).map_err(|e| format!("{input}: {e}"))?;
             let out = extrap_lint::fix_set(&set);
             let report = extrap_lint::lint_set(&out.value);
             (Fixed::Set(out.value), out.notes, report)
         }
-        _ => return Err(format!("{input}: --fix needs a binary trace file")),
+        None => return Err(format!("{input}: --fix needs a binary trace file")),
     };
     let report = apply_allow(report, allow);
 
@@ -919,8 +917,7 @@ fn cmd_lint_fix(
         }
         .map_err(|e| format!("{dest}: {e}"))?;
         // Belt and braces: the file on disk must re-lint error-free.
-        let mut arena = extrap_trace::stream::StreamArena::new();
-        let back = lint_one(&dest, &mut arena)?;
+        let back = lint_one(&dest)?;
         if apply_allow(back, allow).has_errors() {
             return Err(format!("lint --fix: {dest} fails re-lint after writing"));
         }

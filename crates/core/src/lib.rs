@@ -58,7 +58,7 @@ pub use params::{
     BarrierAlgorithm, BarrierParams, CommParams, ContentionParams, NetworkParams, RecordMode,
     ServicePolicy, SimParams, SimStrategy, SizeMode,
 };
-pub use processor::{CompiledProgram, CompiledThread, IncrementalCompiler};
+pub use processor::{CompiledProgram, CompiledThread};
 pub use repr::{ReprCluster, ReprPlan};
 pub use scalability::{Scalability, ScalePoint};
 pub use session::{Extrapolator, RunInput};

@@ -16,7 +16,7 @@
 
 use crate::params::SimParams;
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId, TimeNs};
-use extrap_trace::{EventKind, ThreadTrace, TraceError, TraceRecord, TraceSet, TranslateSink};
+use extrap_trace::{EventKind, ThreadTrace, TraceError, TraceRecord, TraceSet};
 
 /// One step of a thread's script.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -74,17 +74,21 @@ pub fn compile_thread(trace: &ThreadTrace, params: &SimParams) -> Vec<Op> {
 /// per-parameter-set concern applied at execution time, which is what
 /// lets one compilation serve a whole sweep grid.
 pub fn compile_thread_raw(trace: &ThreadTrace) -> Vec<Op> {
-    let mut ops = Vec::with_capacity(trace.records.len());
+    fold_script(&trace.records, Vec::with_capacity(trace.records.len()))
+}
+
+/// Appends the ops for one thread's translated records to `ops` and
+/// seals the script.
+fn fold_script(records: &[TraceRecord], mut ops: Vec<Op>) -> Vec<Op> {
     let mut prev: Option<TimeNs> = None;
-    for rec in &trace.records {
+    for rec in records {
         fold_record(&mut ops, &mut prev, rec);
     }
     seal_script(&mut ops);
     ops
 }
 
-/// Appends the op(s) for one translated record — the single per-record
-/// compilation step shared by the whole-trace and streaming compilers.
+/// Appends the op(s) for one translated record.
 fn fold_record(ops: &mut Vec<Op>, prev: &mut Option<TimeNs>, rec: &TraceRecord) {
     // Time since the previous event is computation — except the gap
     // ending in a barrier exit, which is barrier wait.
@@ -171,20 +175,32 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Validates `traces` and compiles every thread's script.
-    ///
-    /// This is a thin adapter over the streaming
-    /// [`IncrementalCompiler`]: the per-record fold is the same machine
-    /// either way, so the whole-trace and out-of-core paths produce
-    /// identical programs by construction.
     pub fn compile(traces: &TraceSet) -> Result<CompiledProgram, TraceError> {
         traces.validate()?;
-        let mut compiler = IncrementalCompiler::new(traces.threads.len());
-        for (i, tt) in traces.threads.iter().enumerate() {
-            for rec in &tt.records {
-                compiler.emit_record(i, rec)?;
-            }
-        }
-        Ok(compiler.finish())
+        let threads = traces
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(i, tt)| {
+                // Grown by push rather than pre-sized: `resident_bytes`
+                // charges the scripts' capacity to the cache budget.
+                let ops = fold_script(&tt.records, Vec::new());
+                let predicted_records = 2 + ops
+                    .iter()
+                    .map(|op| match op {
+                        Op::RemoteRead { .. } | Op::RemoteWrite { .. } => 1,
+                        Op::Barrier(_) => 2,
+                        Op::Compute(_) | Op::End => 0,
+                    })
+                    .sum::<usize>();
+                CompiledThread {
+                    thread: ThreadId::from_index(i),
+                    ops,
+                    predicted_records,
+                }
+            })
+            .collect();
+        Ok(CompiledProgram { threads })
     }
 
     /// Assembles a program from already-compiled thread scripts.  The
@@ -228,102 +244,6 @@ impl CompiledProgram {
                         + t.ops.capacity() * std::mem::size_of::<Op>()
                 })
                 .sum::<usize>()
-    }
-}
-
-/// Streaming program compiler: folds translated per-thread records into
-/// op scripts **as they are emitted**, so a [`CompiledProgram`] is built
-/// straight off a translate stream without ever holding the intermediate
-/// [`TraceSet`].
-///
-/// It implements [`TranslateSink`], so it plugs directly into
-/// `extrap_trace::translate_stream` — records may arrive interleaved
-/// across threads (the epoch translator emits them in epoch-resolution
-/// order) because each thread folds independently.
-/// [`CompiledProgram::compile`] is an adapter over this machine, which is
-/// what makes the whole-trace and out-of-core paths identical by
-/// construction: same fold, same sealing.
-#[derive(Debug)]
-pub struct IncrementalCompiler {
-    threads: Vec<ThreadFold>,
-}
-
-/// One thread's in-progress script fold.
-#[derive(Debug, Default)]
-struct ThreadFold {
-    ops: Vec<Op>,
-    prev: Option<TimeNs>,
-}
-
-impl IncrementalCompiler {
-    /// A compiler expecting records for threads `0..n_threads`.
-    pub fn new(n_threads: usize) -> IncrementalCompiler {
-        IncrementalCompiler {
-            threads: (0..n_threads).map(|_| ThreadFold::default()).collect(),
-        }
-    }
-
-    /// Folds one translated record of `thread` into its script.
-    pub fn emit_record(&mut self, thread: usize, rec: &TraceRecord) -> Result<(), TraceError> {
-        let Some(fold) = self.threads.get_mut(thread) else {
-            return Err(TraceError::BadThread {
-                record: 0,
-                thread: ThreadId::from_index(thread),
-                n_threads: self.threads.len(),
-            });
-        };
-        fold_record(&mut fold.ops, &mut fold.prev, rec);
-        Ok(())
-    }
-
-    /// Heap bytes currently held by the partially compiled scripts (the
-    /// pipeline's *product*, which necessarily grows with distinct
-    /// program structure — unlike the translate machinery, which stays
-    /// O(threads + live-epoch)).
-    pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<IncrementalCompiler>()
-            + self
-                .threads
-                .iter()
-                .map(|t| {
-                    std::mem::size_of::<ThreadFold>() + t.ops.capacity() * std::mem::size_of::<Op>()
-                })
-                .sum::<usize>()
-    }
-
-    /// Seals every script and assembles the program (identical to what
-    /// [`CompiledProgram::compile`] yields for the equivalent
-    /// [`TraceSet`]).
-    pub fn finish(self) -> CompiledProgram {
-        let threads: Vec<CompiledThread> = self
-            .threads
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut fold)| {
-                seal_script(&mut fold.ops);
-                let predicted_records = 2 + fold
-                    .ops
-                    .iter()
-                    .map(|op| match op {
-                        Op::RemoteRead { .. } | Op::RemoteWrite { .. } => 1,
-                        Op::Barrier(_) => 2,
-                        Op::Compute(_) | Op::End => 0,
-                    })
-                    .sum::<usize>();
-                CompiledThread {
-                    thread: ThreadId::from_index(i),
-                    ops: fold.ops,
-                    predicted_records,
-                }
-            })
-            .collect();
-        CompiledProgram::from_threads(threads)
-    }
-}
-
-impl TranslateSink for IncrementalCompiler {
-    fn emit(&mut self, thread: usize, rec: TraceRecord) -> Result<(), TraceError> {
-        self.emit_record(thread, &rec)
     }
 }
 

@@ -38,10 +38,7 @@ pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use fix::{fix_program, fix_set, FixNote, FixOutcome};
 pub use passes::{ModelSanity, Pass, Target, TranslationSoundness, WellFormedness};
 pub use render::{render_json, render_text, summary_line};
-pub use stream::{
-    lint_program_stream, lint_set_stream, lint_trace_file, SoundnessStream, StreamLinter,
-    WellFormedStream,
-};
+pub use stream::{SoundnessStream, WellFormedStream};
 
 use extrap_core::SimParams;
 use extrap_trace::{ProgramTrace, TraceSet};

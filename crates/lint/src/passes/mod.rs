@@ -1,7 +1,7 @@
 //! The pass registry: what a lint pass is and what it runs over.
 //!
-//! Trace passes are adapters over the incremental machines in
-//! [`crate::stream`]; see that module for the streaming entry points.
+//! Trace passes drive the record-at-a-time machines in
+//! [`crate::stream`] over decoded records.
 
 use crate::diag::Report;
 use extrap_core::SimParams;

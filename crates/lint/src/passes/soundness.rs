@@ -21,13 +21,10 @@
 //!   ([`extrap_trace::determinism_report`]) recast as a race-detector
 //!   diagnostic with spans.
 //!
-//! The pass is a thin adapter: it replays the in-memory trace through
-//! the incremental [`SoundnessStream`] machine, the same digest-keeping
-//! state machine the chunked streaming drivers ([`crate::stream`]) feed
-//! record by record — so whole-trace and streaming lint agree by
-//! construction.  Records referencing out-of-range thread ids are
-//! skipped here exactly as the streaming router skips them
-//! (well-formedness reports them as `E003`).
+//! The pass drives the record-at-a-time [`SoundnessStream`] machine
+//! ([`crate::stream`]) over the decoded trace.  Records referencing
+//! out-of-range thread ids are skipped (well-formedness reports them as
+//! `E003`).
 
 use super::{Pass, Target};
 use crate::diag::{Report, Span};

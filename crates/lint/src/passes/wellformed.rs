@@ -12,10 +12,8 @@
 //! * phase markers agree across threads (`W001`) and every thread has
 //!   its begin/end frame (`W003`).
 //!
-//! The pass is a thin adapter: it replays the in-memory trace through
-//! the incremental [`WellFormedStream`] machine, the same state machine
-//! the chunked streaming drivers ([`crate::stream`]) feed record by
-//! record — so whole-trace and streaming lint agree by construction.
+//! The pass drives the record-at-a-time [`WellFormedStream`] machine
+//! ([`crate::stream`]) over the decoded trace.
 
 use super::{Pass, Target};
 use crate::diag::Report;

@@ -1,53 +1,19 @@
-//! Incremental lint machines: every trace pass as a state machine fed
-//! record-by-record, so multi-gigabyte traces lint in bounded memory.
+//! The trace lint passes as record-at-a-time machines.
 //!
-//! [`StreamLinter`] combines the two trace pass families:
+//! * [`WellFormedStream`] — well-formedness (`E001`, `E002`, `E003`,
+//!   `E004`, `E006`, `E009`, `W001`, `W002`, `W003`);
+//! * [`SoundnessStream`] — translation soundness (`E005`, `E007`),
+//!   keeping per-thread barrier-sequence digests and the collapsed
+//!   vector clocks (barrier-epoch counters) rather than the records.
 //!
-//! * [`WellFormedStream`] — fully streaming well-formedness (`E001`,
-//!   `E002`, `E003`, `E004`, `E006`, `E009`, `W001`, `W002`, `W003`);
-//! * [`SoundnessStream`] — translation soundness (`E005`, `E007`)
-//!   keeping only per-thread barrier-sequence digests and the collapsed
-//!   vector clocks (barrier-epoch counters), never the record stream.
-//!
-//! The whole-trace entry points ([`crate::lint_program`] /
-//! [`crate::lint_set`]) are thin adapters that replay in-memory traces
-//! through these machines, so the streaming drivers
-//! ([`lint_program_stream`] / [`lint_set_stream`] / [`lint_trace_file`])
-//! produce **byte-identical** reports by construction.
-//!
-//! # Memory bound
-//!
-//! Resident analysis state is `O(threads + live epochs + sync events)`,
-//! independent of the record count:
-//!
-//! * per thread: a constant-size cursor (clock, barrier-protocol cell,
-//!   epoch counter) plus its phase-marker sequence (markers are rare —
-//!   one per program phase — and `W001`'s message prints the full
-//!   sequences, so they are retained);
-//! * the element-ownership and causality maps are keyed by
-//!   `(epoch, element)`; for program traces (global time order, so
-//!   epochs advance together) entries whose epoch every thread has left
-//!   are pruned as the stream advances, leaving only **live** epochs;
-//!   for trace sets the epoch counter restarts with every segment, so
-//!   entries persist but are still bounded by distinct
-//!   `(epoch, element)` pairs, not records;
-//! * the `E005` digest keeps the first thread's barrier-id sequence as
-//!   the reference plus, per other thread, a counter, the first
-//!   mismatch, and any enters that arrived before the reference grew.
-//!
-//! [`StreamLinter::peak_resident_bytes`] reports an estimate of that
-//! state (analysis state only, excluding emitted diagnostics), which
-//! tests pin to show the bound holds as traces grow.
+//! They are lint's one implementation: the passes in [`crate::passes`]
+//! drive them over decoded records, a program trace in its global
+//! order or a trace set segment by segment.
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use extrap_time::{BarrierId, ElementId, ThreadId, TimeNs};
-use extrap_trace::stream::{
-    sniff_kind, ChunkSource, ProgramStream, SetChunk, SetStream, StreamArena, TraceKind,
-};
-use extrap_trace::{EventKind, TraceError, TraceRecord};
+use extrap_trace::{EventKind, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet};
-use std::mem::size_of;
-use std::path::Path;
 
 /// Which trace shape a machine is consuming.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -91,10 +57,8 @@ pub struct WellFormedStream {
     current: usize,
     next_record: usize,
     prev_time: TimeNs,
-    /// First claimed owner per `(epoch, element)`; shared across
-    /// threads, pruned to live epochs for program traces.
+    /// First claimed owner per `(epoch, element)`, shared across threads.
     owners: BTreeMap<(usize, ElementId), ThreadId>,
-    marker_total: usize,
 }
 
 impl WellFormedStream {
@@ -110,7 +74,6 @@ impl WellFormedStream {
             next_record: 0,
             prev_time: TimeNs::ZERO,
             owners: BTreeMap::new(),
-            marker_total: 0,
         }
     }
 
@@ -124,7 +87,6 @@ impl WellFormedStream {
             next_record: 0,
             prev_time: TimeNs::ZERO,
             owners: BTreeMap::new(),
-            marker_total: 0,
         }
     }
 
@@ -237,9 +199,6 @@ impl WellFormedStream {
                 }
                 tw.open = Some((barrier, span));
                 tw.epoch += 1;
-                if self.shape == Shape::Program {
-                    self.prune_dead_epochs();
-                }
                 return;
             }
             EventKind::BarrierExit { barrier } => {
@@ -269,7 +228,6 @@ impl WellFormedStream {
             }
             EventKind::Marker { id } => {
                 tw.markers.push(id);
-                self.marker_total += 1;
                 return;
             }
             EventKind::RemoteRead { owner, element, .. }
@@ -319,21 +277,6 @@ impl WellFormedStream {
                 );
             }
             Some(_) => {}
-        }
-    }
-
-    /// Drops ownership entries for epochs every thread has left.  Only
-    /// sound for program traces: the global stream is consumed in time
-    /// order, so once the minimum per-thread epoch passes `e`, no
-    /// further record can land in epoch `e`.
-    fn prune_dead_epochs(&mut self) {
-        let min_epoch = self.threads.iter().map(|t| t.epoch).min().unwrap_or(0);
-        while self
-            .owners
-            .first_key_value()
-            .is_some_and(|(k, _)| k.0 < min_epoch)
-        {
-            self.owners.pop_first();
         }
     }
 
@@ -389,13 +332,6 @@ impl WellFormedStream {
             }
         }
     }
-
-    /// Estimated bytes of resident analysis state (O(1) to compute).
-    pub fn resident_bytes(&self) -> usize {
-        self.threads.len() * size_of::<ThreadWf>()
-            + self.marker_total * size_of::<u32>()
-            + self.owners.len() * size_of::<((usize, ElementId), ThreadId)>()
-    }
 }
 
 /// One element's accesses within one barrier epoch, collapsed to the
@@ -413,7 +349,8 @@ struct ThreadSound {
     entered: usize,
     first_mismatch: Option<(usize, u32, u32)>,
     /// Barrier enters that arrived before the reference sequence grew
-    /// to their position; resolved at [`SoundnessStream::finish`].
+    /// to their position (a program trace may interleave thread 0
+    /// after its peers); resolved at [`SoundnessStream::finish`].
     pending: Vec<(usize, u32)>,
 }
 
@@ -435,50 +372,35 @@ impl ThreadSound {
 /// vector clocks (see the module docs of `passes::soundness` for the
 /// theory).
 pub struct SoundnessStream {
-    shape: Shape,
     threads: Vec<ThreadSound>,
     /// The first thread's barrier-id sequence (the `E005` reference).
     reference: Vec<u32>,
     accesses: BTreeMap<(usize, ElementId), EpochAccess>,
-    /// `E007` diagnostics for epochs already pruned (program shape);
-    /// buffered so they still render after the `E005`s, in key order.
-    early_e007: Vec<Diagnostic>,
-    pending_total: usize,
-    participants_total: usize,
 }
 
 impl SoundnessStream {
     /// A machine for a program trace declaring `n_threads`.
     pub fn for_program(n_threads: usize) -> SoundnessStream {
         SoundnessStream {
-            shape: Shape::Program,
             threads: (0..n_threads)
                 .map(|t| ThreadSound::new(ThreadId(t as u32)))
                 .collect(),
             reference: Vec::new(),
             accesses: BTreeMap::new(),
-            early_e007: Vec::new(),
-            pending_total: 0,
-            participants_total: 0,
         }
     }
 
     /// A machine for a trace set.
     pub fn for_set() -> SoundnessStream {
         SoundnessStream {
-            shape: Shape::Set,
             threads: Vec::new(),
             reference: Vec::new(),
             accesses: BTreeMap::new(),
-            early_e007: Vec::new(),
-            pending_total: 0,
-            participants_total: 0,
         }
     }
 
     /// Starts the next per-thread segment (set shape only).
     pub fn begin_thread(&mut self, thread: ThreadId) {
-        debug_assert_eq!(self.shape, Shape::Set);
         self.threads.push(ThreadSound::new(thread));
     }
 
@@ -499,10 +421,6 @@ impl SoundnessStream {
                     }
                 } else {
                     t.pending.push((pos, barrier.0));
-                    self.pending_total += 1;
-                }
-                if self.shape == Shape::Program {
-                    self.prune_dead_epochs();
                 }
             }
             EventKind::RemoteRead { element, .. } => self.note_access(idx, span, element, false),
@@ -521,9 +439,7 @@ impl SoundnessStream {
                 writer: None,
                 participants: BTreeSet::new(),
             });
-        if acc.participants.insert(thread) {
-            self.participants_total += 1;
-        }
+        acc.participants.insert(thread);
         if write {
             // "First writer" in view order = minimal (view index, record
             // index), matching the whole-trace pass even when the global
@@ -561,23 +477,6 @@ impl SoundnessStream {
                 others.join(", "),
             ),
         ))
-    }
-
-    /// Evaluates and drops access cells for epochs every thread has
-    /// left (program shape; see [`WellFormedStream::prune_dead_epochs`]).
-    fn prune_dead_epochs(&mut self) {
-        let min_epoch = self.threads.iter().map(|t| t.epoch).min().unwrap_or(0);
-        while self
-            .accesses
-            .first_key_value()
-            .is_some_and(|(k, _)| k.0 < min_epoch)
-        {
-            let (key, acc) = self.accesses.pop_first().expect("peeked non-empty");
-            self.participants_total -= acc.participants.len();
-            if let Some(d) = SoundnessStream::race_diagnostic(key, &acc) {
-                self.early_e007.push(d);
-            }
-        }
     }
 
     /// Emits the end-of-stream diagnostics: `E005` per disagreeing
@@ -626,165 +525,10 @@ impl SoundnessStream {
                 );
             }
         }
-        // Pruned epochs first (lower keys), then the still-live cells:
-        // together, ascending (epoch, element) order.
-        for d in self.early_e007.drain(..) {
-            report.diagnostics.push(d);
-        }
         for (&key, acc) in &self.accesses {
             if let Some(d) = SoundnessStream::race_diagnostic(key, acc) {
                 report.diagnostics.push(d);
             }
-        }
-    }
-
-    /// Estimated bytes of resident analysis state (O(1) to compute;
-    /// excludes buffered diagnostics, which are output, not state).
-    pub fn resident_bytes(&self) -> usize {
-        self.threads.len() * size_of::<ThreadSound>()
-            + self.reference.len() * size_of::<u32>()
-            + self.pending_total * size_of::<(usize, u32)>()
-            + self.accesses.len() * size_of::<((usize, ElementId), EpochAccess)>()
-            + self.participants_total * size_of::<ThreadId>()
-    }
-}
-
-/// Both trace pass families behind one record-at-a-time interface,
-/// producing the same [`Report`] as [`crate::lint_program`] /
-/// [`crate::lint_set`] (see module docs).
-pub struct StreamLinter {
-    wf: WellFormedStream,
-    sound: SoundnessStream,
-    report: Report,
-    peak_resident: usize,
-}
-
-impl StreamLinter {
-    /// A linter for a program trace declaring `n_threads`.
-    pub fn for_program(n_threads: usize) -> StreamLinter {
-        let mut lt = StreamLinter {
-            wf: WellFormedStream::for_program(n_threads),
-            sound: SoundnessStream::for_program(n_threads),
-            report: Report::new(),
-            peak_resident: 0,
-        };
-        lt.note_peak();
-        lt
-    }
-
-    /// A linter for a trace set declaring `n_threads` segments.
-    pub fn for_set(n_threads: usize) -> StreamLinter {
-        let mut lt = StreamLinter {
-            wf: WellFormedStream::for_set(n_threads),
-            sound: SoundnessStream::for_set(),
-            report: Report::new(),
-            peak_resident: 0,
-        };
-        lt.note_peak();
-        lt
-    }
-
-    /// Starts the next per-thread segment (set shape only).
-    pub fn begin_thread(&mut self, position: usize, thread: ThreadId) {
-        self.wf.begin_thread(position, thread, &mut self.report);
-        self.sound.begin_thread(thread);
-        self.note_peak();
-    }
-
-    /// Feeds one record through both machines.
-    pub fn record(&mut self, r: &TraceRecord) {
-        if let Some((idx, span)) = self.wf.record(r, &mut self.report) {
-            self.sound.record(idx, span, r);
-        }
-        self.note_peak();
-    }
-
-    /// Finishes both machines and returns the combined report.
-    pub fn finish(mut self) -> Report {
-        self.wf.finish(&mut self.report);
-        self.sound.finish(&mut self.report);
-        self.report
-    }
-
-    fn note_peak(&mut self) {
-        let resident = self.resident_bytes();
-        if resident > self.peak_resident {
-            self.peak_resident = resident;
-        }
-    }
-
-    /// Estimated bytes of resident analysis state right now.
-    pub fn resident_bytes(&self) -> usize {
-        self.wf.resident_bytes() + self.sound.resident_bytes()
-    }
-
-    /// The high-water mark of [`resident_bytes`](Self::resident_bytes)
-    /// over the stream so far — what the memory-bound tests pin.
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.peak_resident
-    }
-}
-
-/// Lints a chunked program-trace stream without materializing it.
-pub fn lint_program_stream<S: ChunkSource>(
-    stream: &mut ProgramStream<S>,
-) -> Result<Report, TraceError> {
-    let mut lt = StreamLinter::for_program(stream.n_threads());
-    while let Some(chunk) = stream.next_chunk()? {
-        for r in chunk {
-            lt.record(r);
-        }
-    }
-    Ok(lt.finish())
-}
-
-/// Lints a chunked trace-set stream without materializing it.
-pub fn lint_set_stream<S: ChunkSource>(stream: &mut SetStream<S>) -> Result<Report, TraceError> {
-    let mut lt = StreamLinter::for_set(stream.n_threads());
-    loop {
-        match stream.next_chunk()? {
-            None => break,
-            Some(SetChunk::Thread {
-                position, thread, ..
-            }) => lt.begin_thread(position, thread),
-            Some(SetChunk::Records(recs)) => {
-                for r in recs {
-                    lt.record(r);
-                }
-            }
-        }
-    }
-    Ok(lt.finish())
-}
-
-/// Lints a trace file through the chunked reader, dispatching on its
-/// magic bytes and recycling `arena`'s buffers across calls.
-///
-/// Returns `Ok(None)` when the file carries neither trace magic (the
-/// caller decides whether to treat it as config text).
-pub fn lint_trace_file(
-    path: impl AsRef<Path>,
-    arena: &mut StreamArena,
-) -> Result<Option<Report>, TraceError> {
-    let path = path.as_ref();
-    let kind = sniff_kind(path).map_err(|e| TraceError::from(e).in_file(path))?;
-    let taken = std::mem::take(arena);
-    match kind {
-        None => {
-            *arena = taken;
-            Ok(None)
-        }
-        Some(TraceKind::Program) => {
-            let mut stream = ProgramStream::open_with_arena(path, taken)?;
-            let report = lint_program_stream(&mut stream);
-            *arena = stream.into_arena();
-            report.map(Some)
-        }
-        Some(TraceKind::Set) => {
-            let mut stream = SetStream::open_with_arena(path, taken)?;
-            let report = lint_set_stream(&mut stream);
-            *arena = stream.into_arena();
-            report.map(Some)
         }
     }
 }

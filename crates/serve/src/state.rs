@@ -9,6 +9,7 @@ use extrap_proto::{
     ErrorCode, JobId, PredictionSummary, Request, Response, ServerStats, SweepRow, SweepSpec,
     TraceId,
 };
+use extrap_trace::TraceKind;
 use extrap_workloads::{Bench, Scale};
 use pcpp_rt::sync::{AtomicFlag, Condvar, Instant, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -527,12 +528,12 @@ impl Session {
         if self.service.is_shutting_down() {
             return err(ErrorCode::ShuttingDown, "server is draining");
         }
-        let built = match payload.get(..4) {
+        let built = match extrap_trace::format::trace_kind(&payload) {
             // Raw traces are translated server-side through the same
             // `translate` (validate + barrier precheck) as local
             // `extrap translate`, so errors read the same.  The set is
             // kept — `Phases`/`Stats` requests read it.
-            Some(b"XTRP") => extrap_trace::format::decode_program(&payload)
+            Some(TraceKind::Program) => extrap_trace::format::decode_program(&payload)
                 .and_then(|trace| {
                     self.service
                         .counters
@@ -542,10 +543,10 @@ impl Session {
                 })
                 .and_then(CachedTrace::new)
                 .map_err(|e| e.to_string()),
-            Some(b"XTPS") => extrap_trace::format::decode_set(&payload)
+            Some(TraceKind::Set) => extrap_trace::format::decode_set(&payload)
                 .and_then(CachedTrace::new)
                 .map_err(|e| e.to_string()),
-            _ => Err("not a trace image (expected XTRP or XTPS magic)".to_string()),
+            None => Err("not a trace image (expected XTRP or XTPS magic)".to_string()),
         };
         let cached = match built {
             Ok(c) => Arc::new(c),

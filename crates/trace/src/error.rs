@@ -66,8 +66,8 @@ pub enum TraceError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// Any of the above, annotated with the file it occurred in.  Produced
-    /// by the file-backed streaming readers so a refill failure mid-file
-    /// reports the path, not just the offset.
+    /// by the file readers ([`crate::reader`]) so every read, decode or
+    /// validation failure names the file.
     InFile {
         /// The file being read when the error occurred.
         path: PathBuf,

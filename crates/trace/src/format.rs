@@ -30,17 +30,37 @@ pub const SET_MAGIC: &[u8; 4] = b"XTPS";
 /// Current format version.
 pub const VERSION: u16 = 1;
 
+/// Which trace shape an encoded image holds.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TraceKind {
+    /// A 1-processor program trace (`XTRP`).
+    Program,
+    /// A translated per-thread trace set (`XTPS`).
+    Set,
+}
+
+/// The trace shape `data` declares by its magic bytes, or `None` when it
+/// is shorter than a magic or carries neither (callers typically treat
+/// such input as config text, or reject it).
+pub fn trace_kind(data: &[u8]) -> Option<TraceKind> {
+    match data.get(..4) {
+        Some(magic) if magic == PROGRAM_MAGIC => Some(TraceKind::Program),
+        Some(magic) if magic == SET_MAGIC => Some(TraceKind::Set),
+        _ => None,
+    }
+}
+
 /// Encoded size of the smallest record: a payload-free thread begin
 /// or end (time u64 + thread u32 + kind u8).
-pub(crate) const MIN_RECORD_BYTES: usize = 8 + 4 + 1;
+const MIN_RECORD_BYTES: usize = 8 + 4 + 1;
 /// Encoded size of a trace-set segment header (thread u32 + count u64).
-pub(crate) const SEGMENT_HEADER_BYTES: usize = 4 + 8;
+const SEGMENT_HEADER_BYTES: usize = 4 + 8;
 
 /// How many items to pre-allocate for a header that declares
 /// `declared` of them when only `remaining` input bytes are left: no
 /// more than those bytes can encode at `min_bytes` each, so a forged
 /// count cannot make a decoder allocate ahead of its input.
-pub(crate) fn capacity_hint(declared: u64, remaining: usize, min_bytes: usize) -> usize {
+fn capacity_hint(declared: u64, remaining: usize, min_bytes: usize) -> usize {
     declared.min((remaining / min_bytes) as u64) as usize
 }
 
@@ -248,7 +268,7 @@ pub fn decode_set_raw(mut data: &[u8]) -> Result<TraceSet, TraceError> {
     Ok(TraceSet { threads })
 }
 
-pub(crate) fn check_header(data: &mut &[u8], magic: &[u8; 4]) -> Result<(), TraceError> {
+fn check_header(data: &mut &[u8], magic: &[u8; 4]) -> Result<(), TraceError> {
     if data.remaining() < 6 {
         return Err(truncated("file header"));
     }
@@ -268,14 +288,14 @@ pub(crate) fn check_header(data: &mut &[u8], magic: &[u8; 4]) -> Result<(), Trac
     Ok(())
 }
 
-pub(crate) fn get_u32(buf: &mut impl Buf, what: &str) -> Result<u32, TraceError> {
+fn get_u32(buf: &mut impl Buf, what: &str) -> Result<u32, TraceError> {
     if buf.remaining() < 4 {
         return Err(truncated(what));
     }
     Ok(buf.get_u32_le())
 }
 
-pub(crate) fn get_u64(buf: &mut impl Buf, what: &str) -> Result<u64, TraceError> {
+fn get_u64(buf: &mut impl Buf, what: &str) -> Result<u64, TraceError> {
     if buf.remaining() < 8 {
         return Err(truncated(what));
     }
@@ -433,6 +453,17 @@ mod tests {
             err.contains("truncated while reading record header"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn trace_kind_detects_both_kinds_and_rejects_others() {
+        let pt = sample_program();
+        let ts = translate(&pt, TranslateOptions::default()).unwrap();
+        assert_eq!(trace_kind(&encode_program(&pt)), Some(TraceKind::Program));
+        assert_eq!(trace_kind(&encode_set(&ts)), Some(TraceKind::Set));
+        assert_eq!(trace_kind(b"MipsRatio = 1.0\n"), None);
+        assert_eq!(trace_kind(b"XTR"), None);
+        assert_eq!(trace_kind(b""), None);
     }
 
     #[test]

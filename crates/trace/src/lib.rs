@@ -30,16 +30,11 @@ pub use builder::{PhaseAccess, PhaseProgram, PhaseWork, ProgramTraceBuilder};
 pub use error::TraceError;
 pub use event::{EventKind, TraceRecord};
 pub use event::{ProgramTrace, ThreadTrace, TraceSet};
+pub use format::{trace_kind, TraceKind};
 pub use phases::{
     cluster_epochs, epoch_signatures, phase_profiles, render_clusters, render_stats_report,
     splitmix64, ClusterOptions, EpochCluster, EpochClustering, EpochSignature, EpochTerminator,
     PhaseProfile,
 };
 pub use stats::{ThreadStats, TraceStats};
-pub use stream::{
-    sniff_kind, ChunkSource, FileSource, ProgramStream, ReadSource, SetChunk, SetStream,
-    SliceSource, StreamArena, TraceKind,
-};
-pub use translate::{
-    translate, translate_stream, EpochTranslator, TranslateOptions, TranslateSink, TranslateStats,
-};
+pub use translate::{translate, TranslateOptions};

@@ -1,53 +1,45 @@
-//! Reading traces from streams and files.
-//!
-//! Every reader decodes through the chunked streams of
-//! [`crate::stream`] and then enforces the structural invariants
-//! ([`ProgramTrace::validate`] / [`TraceSet::validate`]).  Diagnostic
-//! tools that must see a corrupted trace in full (`extrap-lint`) read
-//! through [`ProgramStream`] / [`SetStream`] directly, which skip the
-//! invariant checks.
+//! Reading traces from files: the whole file is read into memory,
+//! decoded ([`crate::format`]) and checked against the structural
+//! invariants ([`ProgramTrace::validate`] / [`TraceSet::validate`]).
+//! Every error carries the file path ([`TraceError::InFile`]).
+//! Diagnostic tools that must see a corrupted trace in full
+//! (`extrap-lint`) decode with `format::decode_*_raw` instead, which
+//! skips the invariant checks.
 
 use crate::error::TraceError;
 use crate::event::{ProgramTrace, TraceSet};
-use crate::stream::{ProgramStream, ReadSource, SetStream};
-use std::io::Read;
+use crate::format;
 use std::path::Path;
 
-/// Reads a program trace from a file.
-///
-/// The file is consumed through the chunked [`ProgramStream`], so peak
-/// memory is one refill window plus the decoded records.  All failure
-/// modes — open, decode, invariant violations — carry the file path in
-/// the error ([`TraceError::InFile`]).
+/// Reads and validates a program trace file.
 pub fn read_program_file(path: impl AsRef<Path>) -> Result<ProgramTrace, TraceError> {
-    let path = path.as_ref();
-    let trace = ProgramStream::open(path)?.read_to_end()?;
-    trace.validate().map_err(|e| e.in_file(path))?;
-    Ok(trace)
+    read_file(path.as_ref(), format::decode_program)
 }
 
-/// Reads a translated trace set from any `Read` source.
-pub fn read_set(r: &mut impl Read) -> Result<TraceSet, TraceError> {
-    let set = SetStream::new(ReadSource(r))?.read_to_end()?;
-    set.validate()?;
-    Ok(set)
-}
-
-/// Reads a translated trace set from a file (chunked, with the path in
-/// every error, like [`read_program_file`]).
+/// Reads and validates a translated trace-set file.
 pub fn read_set_file(path: impl AsRef<Path>) -> Result<TraceSet, TraceError> {
-    let path = path.as_ref();
-    let set = SetStream::open(path)?.read_to_end()?;
-    set.validate().map_err(|e| e.in_file(path))?;
-    Ok(set)
+    read_file(path.as_ref(), format::decode_set)
+}
+
+fn read_file<T>(path: &Path, decode: fn(&[u8]) -> Result<T, TraceError>) -> Result<T, TraceError> {
+    let data = std::fs::read(path).map_err(|e| TraceError::from(e).in_file(path))?;
+    decode(&data).map_err(|e| e.in_file(path))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{EventKind, TraceRecord};
-    use crate::format;
     use extrap_time::{ThreadId, TimeNs};
+    use std::path::PathBuf;
+
+    fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("extrap-reader-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
 
     #[test]
     fn missing_file_is_io_error_with_path() {
@@ -68,26 +60,27 @@ mod tests {
         };
         pt.records.push(rec(5, EventKind::ThreadBegin));
         pt.records.push(rec(3, EventKind::ThreadEnd));
-        let dir = std::env::temp_dir().join(format!("extrap-reader-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("regress.xtrp");
-        std::fs::write(&path, format::encode_program(&pt)).unwrap();
+        let path = temp_file("regress.xtrp", &format::encode_program(&pt));
         let err = read_program_file(&path).unwrap_err();
         assert!(err.to_string().contains("regress.xtrp"));
         assert!(err.to_string().contains("timestamp regression"));
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_stream_is_format_error() {
-        let err = read_set(&mut &b""[..]).unwrap_err();
-        assert!(matches!(err, TraceError::Format { .. }));
+        let path = temp_file("empty.xtps", b"");
+        let err = read_set_file(&path).unwrap_err();
+        assert!(
+            matches!(err, TraceError::InFile { ref source, .. } if matches!(**source, TraceError::Format { .. }))
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn raw_read_accepts_invariant_violations() {
         // A set with a per-thread timestamp regression: the strict
-        // reader rejects it, the raw stream hands it over for diagnosis.
+        // reader rejects it, the raw decoder hands it over for diagnosis.
         let rec = |t: u64, kind| TraceRecord {
             time: TimeNs(t),
             thread: ThreadId(0),
@@ -100,13 +93,12 @@ mod tests {
             }],
         };
         let bytes = format::encode_set(&set);
-        assert!(matches!(
-            read_set(&mut &bytes[..]),
-            Err(TraceError::ThreadTimeRegression { .. })
-        ));
-        let raw = SetStream::new(crate::stream::SliceSource(&bytes))
-            .and_then(|mut s| s.read_to_end())
-            .unwrap();
-        assert_eq!(raw, set);
+        let path = temp_file("regress.xtps", &bytes);
+        let err = read_set_file(&path).unwrap_err();
+        assert!(
+            matches!(err, TraceError::InFile { ref source, .. } if matches!(**source, TraceError::ThreadTimeRegression { .. }))
+        );
+        std::fs::remove_file(&path).ok();
+        assert_eq!(format::decode_set_raw(&bytes).unwrap(), set);
     }
 }

@@ -64,7 +64,7 @@ mod tests {
         let ts = crate::translate(&p.record(), Default::default()).unwrap();
         let mut buf = Vec::new();
         write_set(&mut buf, &ts).unwrap();
-        let back = reader::read_set(&mut &buf[..]).unwrap();
+        let back = crate::format::decode_set(&buf).unwrap();
         assert_eq!(ts, back);
     }
 }

@@ -1,11 +1,13 @@
 //! Robustness of the binary trace codec: arbitrary and corrupted inputs
-//! must produce errors, never panics or bogus successes.
+//! must produce typed errors, never panics or bogus successes.  The raw
+//! decoders (`decode_program_raw` / `decode_set_raw`) are the one
+//! decoder per format that every reader goes through.
 //!
 //! Driven by a deterministic SplitMix64 case generator instead of
 //! `proptest` (crates.io is unreachable in the build environment).
 
 use extrap_time::DurationNs;
-use extrap_trace::{format, PhaseProgram};
+use extrap_trace::{format, translate, PhaseProgram, TraceError};
 
 const CASES: u64 = 256;
 
@@ -37,6 +39,22 @@ fn sample_bytes() -> Vec<u8> {
     p.push_uniform_phase(DurationNs(100));
     p.push_uniform_phase(DurationNs(250));
     format::encode_program(&p.record())
+}
+
+fn sample_set_bytes() -> Vec<u8> {
+    let pt = format::decode_program(&sample_bytes()).unwrap();
+    format::encode_set(&translate(&pt, Default::default()).unwrap())
+}
+
+/// Decodes `data` raw as both formats; each must succeed or fail with a
+/// format error (the raw decoders check structure, nothing else).
+fn assert_typed(data: &[u8], what: &str) {
+    if let Err(e) = format::decode_program_raw(data) {
+        assert!(matches!(e, TraceError::Format { .. }), "{what}: {e:?}");
+    }
+    if let Err(e) = format::decode_set_raw(data) {
+        assert!(matches!(e, TraceError::Format { .. }), "{what}: {e:?}");
+    }
 }
 
 #[test]
@@ -86,4 +104,69 @@ fn round_trip_of_random_phase_programs() {
         let back = format::decode_program(&bytes).unwrap();
         assert_eq!(pt, back);
     });
+}
+
+#[test]
+fn random_prefixes_never_panic() {
+    let program = sample_bytes();
+    let set = sample_set_bytes();
+    for_all(0x57_0E44, |rng| {
+        let pcut = rng.range(0, program.len() as u64 + 1) as usize;
+        assert_typed(&program[..pcut], "program prefix");
+        assert_eq!(
+            format::decode_program_raw(&program[..pcut]).is_ok(),
+            pcut == program.len()
+        );
+        let scut = rng.range(0, set.len() as u64 + 1) as usize;
+        assert_typed(&set[..scut], "set prefix");
+        assert_eq!(
+            format::decode_set_raw(&set[..scut]).is_ok(),
+            scut == set.len()
+        );
+    });
+}
+
+#[test]
+fn random_mutations_never_panic() {
+    let program = sample_bytes();
+    let set = sample_set_bytes();
+    for_all(0x57_0E45, |rng| {
+        for original in [&program, &set] {
+            let mut bytes = original.clone();
+            for _ in 0..rng.range(1, 5) {
+                let pos = rng.range(0, bytes.len() as u64) as usize;
+                bytes[pos] = rng.next() as u8;
+            }
+            assert_typed(&bytes, "mutation");
+        }
+    });
+}
+
+#[test]
+fn random_garbage_never_panics() {
+    for_all(0x57_0E46, |rng| {
+        let len = rng.range(0, 512) as usize;
+        let data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        assert_typed(&data, "garbage");
+    });
+}
+
+#[test]
+fn truncation_and_extension_at_every_boundary() {
+    type Decode = fn(&[u8]) -> Result<(), TraceError>;
+    let program: Decode = |d| format::decode_program_raw(d).map(drop);
+    let set: Decode = |d| format::decode_set_raw(d).map(drop);
+    for (bytes, decode) in [(sample_bytes(), program), (sample_set_bytes(), set)] {
+        for cut in 0..bytes.len() {
+            let err = decode(&bytes[..cut]).unwrap_err().to_string();
+            assert!(err.contains("truncated while reading"), "cut {cut}: {err}");
+        }
+        decode(&bytes).unwrap();
+        for extra in 1..4 {
+            let mut longer = bytes.clone();
+            longer.extend(vec![0xAAu8; extra]);
+            let err = decode(&longer).unwrap_err().to_string();
+            assert!(err.contains(&format!("{extra} trailing bytes")), "{err}");
+        }
+    }
 }
