@@ -212,14 +212,17 @@ impl Harness {
         }
     }
 
-    /// The results as a JSON document: target, measurement mode, and one
-    /// object per benchmark with median/mean/min ns, sample count, and
-    /// derived throughput (elements or bytes per second) when declared.
+    /// The results as a JSON document: target, measurement mode, the
+    /// host's CPU count, and one object per benchmark with median/mean/min
+    /// ns, sample count, and derived throughput (elements or bytes per
+    /// second) when declared.
     fn to_json(&self) -> String {
+        let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut s = String::new();
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"target\": \"{}\",", escape_json(&self.target));
         let _ = writeln!(s, "  \"quick\": {},", self.quick);
+        let _ = writeln!(s, "  \"host_cpus\": {host_cpus},");
         let _ = writeln!(s, "  \"benches\": [");
         for (i, r) in self.results.iter().enumerate() {
             let _ = writeln!(s, "    {{");
@@ -359,6 +362,7 @@ mod tests {
         });
         let json = h.to_json();
         assert!(json.contains("\"target\": \"test\""));
+        assert!(json.contains("\"host_cpus\": "));
         assert!(json.contains("\"name\": \"alpha\""));
         assert!(json.contains("\"median_ns\": 1234.5"));
         assert!(json.contains("\"unit\": \"elements_per_s\""));

@@ -151,10 +151,11 @@ fn parse_machine(s: Option<String>) -> Result<SimParams, String> {
 fn parse_us(s: Option<String>, what: &str) -> Result<DurationNs, String> {
     match s {
         None => Ok(DurationNs::ZERO),
-        Some(v) => v
-            .parse::<f64>()
-            .map(DurationNs::from_us)
-            .map_err(|e| format!("bad {what}: {e}")),
+        Some(v) => match v.parse::<f64>() {
+            Ok(us) => DurationNs::try_from_us(us)
+                .ok_or_else(|| format!("bad {what}: {v:?} is not a finite, non-negative duration")),
+            Err(e) => Err(format!("bad {what}: {e}")),
+        },
     }
 }
 

@@ -247,6 +247,20 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
     let out = extrap(&["frobnicate"]);
     assert!(!out.status.success());
+    // A negative or non-finite duration flag is an error, not a panic.
+    let grid4 = example("grid4.xtrp");
+    for bad in ["-5", "NaN", "inf"] {
+        let out = extrap(&[
+            "translate",
+            grid4.to_str().unwrap(),
+            "-o",
+            "/dev/null",
+            "--event-overhead",
+            bad,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("bad event overhead"));
+    }
     let out = extrap(&["benches"]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("Embar"));

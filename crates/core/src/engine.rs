@@ -293,6 +293,9 @@ impl<'p, N: NetModel> Sim<'p, N> {
 
         let mut queue = mem::take(&mut scratch.queue);
         queue.reset();
+        if let ServicePolicy::Poll { interval } = params.policy {
+            queue.set_tick_interval(interval);
+        }
         let mut msgs = mem::take(&mut scratch.msgs);
         msgs.clear();
 
@@ -506,11 +509,15 @@ impl<'p, N: NetModel> Sim<'p, N> {
                     let gen = th.gen;
                     match self.params.policy {
                         ServicePolicy::Poll { interval } => {
-                            // Poll ticks are most of a Poll run's events
-                            // and mostly come in time order: the FIFO
-                            // lane takes them in O(1), same pop order.
+                            // Poll ticks are most of a Poll run's events,
+                            // and most find nothing pending.  While none
+                            // is (`handle_service` wakes the chain), the
+                            // queue dispatches and re-arms them itself,
+                            // exactly as `on_poll_tick` would.
+                            debug_assert!(self.threads[t].pending.is_empty());
                             let first = now + interval.min(d);
-                            self.queue.schedule_lane(first, Ev::PollTick(t as u32, gen));
+                            let tick = Ev::PollTick(t as u32, gen);
+                            self.queue.schedule_tick(first, tick, t as u32, now + d);
                         }
                         _ => {
                             self.queue.schedule(now + d, Ev::ComputeDone(t as u32, gen));
@@ -660,7 +667,9 @@ impl<'p, N: NetModel> Sim<'p, N> {
             _ => unreachable!("poll tick under non-poll policy"),
         };
         let next = now + delay + interval.min(remaining);
-        self.queue.schedule_lane(next, Ev::PollTick(t as u32, gen));
+        let until = self.threads[t].compute_until;
+        self.queue
+            .schedule_tick(next, Ev::PollTick(t as u32, gen), t as u32, until);
     }
 
     /// Services every queued request/write, returning the total time
@@ -758,8 +767,11 @@ impl<'p, N: NetModel> Sim<'p, N> {
         match self.threads[o].state {
             TState::Computing => match self.params.policy {
                 ServicePolicy::Interrupt => self.interrupt_service(o, m, now),
-                ServicePolicy::NoInterrupt | ServicePolicy::Poll { .. } => {
+                ServicePolicy::NoInterrupt => self.threads[o].pending.push_back(mi as u32),
+                ServicePolicy::Poll { .. } => {
                     self.threads[o].pending.push_back(mi as u32);
+                    // The owner's next poll tick now has work to do.
+                    self.queue.wake(o as u32);
                 }
             },
             TState::WaitCpu => {

@@ -127,8 +127,8 @@ impl MultithreadParams {
                 Ok(true)
             }
             "SwitchCost" => {
-                let us: f64 = value.parse().map_err(|e| format!("bad SwitchCost: {e}"))?;
-                self.switch_cost = DurationNs::from_us(us);
+                self.switch_cost = crate::params::parse_us(value)
+                    .map_err(|e| format!("bad SwitchCost {value:?}: {e}"))?;
                 Ok(true)
             }
             _ => Ok(false),

@@ -551,9 +551,7 @@ impl SimParams {
             let key = key.trim();
             let value = value.trim();
             let us = |v: &str| -> Result<DurationNs, String> {
-                v.parse::<f64>()
-                    .map(DurationNs::from_us)
-                    .map_err(|e| format!("line {}: bad number {v:?}: {e}", lineno + 1))
+                parse_us(v).map_err(|e| format!("line {}: bad number {v:?}: {e}", lineno + 1))
             };
             let int = |v: &str| -> Result<u32, String> {
                 v.parse::<u32>()
@@ -659,7 +657,11 @@ impl SimParams {
                 }
                 "BarrierHardwareLatency" => p.barrier.hardware_latency = us(value)?,
                 other => {
-                    if !p.multithread.apply_config_key(other, value)? {
+                    let known = p
+                        .multithread
+                        .apply_config_key(other, value)
+                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                    if !known {
                         return Err(format!("line {}: unknown key {other:?}", lineno + 1));
                     }
                 }
@@ -667,6 +669,14 @@ impl SimParams {
         }
         Ok(p)
     }
+}
+
+/// Parses a duration written in microseconds.  Negative, NaN, infinite
+/// and out-of-range values are errors: config text is untrusted input.
+pub(crate) fn parse_us(v: &str) -> Result<DurationNs, String> {
+    let us: f64 = v.parse().map_err(|e| format!("{e}"))?;
+    DurationNs::try_from_us(us)
+        .ok_or_else(|| "durations must be finite, non-negative and in range".to_string())
 }
 
 #[cfg(test)]
@@ -761,6 +771,43 @@ mod tests {
     fn malformed_line_rejected() {
         assert!(SimParams::from_config_text("MipsRatio 1.0\n").is_err());
         assert!(SimParams::from_config_text("MipsRatio = abc\n").is_err());
+    }
+
+    #[test]
+    fn bad_durations_are_line_numbered_errors() {
+        // Every key whose value is a duration in µs, with a template for
+        // its value.
+        let keys = [
+            ("Policy", "poll:{}"),
+            ("CommStartupTime", "{}"),
+            ("ByteTransferTime", "{}"),
+            ("MsgConstructTime", "{}"),
+            ("ServiceTime", "{}"),
+            ("ReceiveTime", "{}"),
+            ("HopTime", "{}"),
+            ("BarrierEntryTime", "{}"),
+            ("BarrierExitTime", "{}"),
+            ("BarrierCheckTime", "{}"),
+            ("BarrierExitCheckTime", "{}"),
+            ("BarrierModelTime", "{}"),
+            ("BarrierHardwareLatency", "{}"),
+            ("SwitchCost", "{}"),
+        ];
+        for (key, template) in keys {
+            let good = format!("# header\n{key} = {}\n", template.replace("{}", "7.5"));
+            assert!(SimParams::from_config_text(&good).is_ok(), "{good}");
+            for bad in ["-5", "-0.001", "NaN", "inf", "-inf", "1e300"] {
+                let text = format!("# header\n{key} = {}\n", template.replace("{}", bad));
+                for parsed in [
+                    SimParams::from_config_text(&text),
+                    SimParams::from_config_text_unvalidated(&text),
+                ] {
+                    let err = parsed.expect_err(&text);
+                    assert!(err.starts_with("line 2: "), "{text}: {err}");
+                    assert!(err.contains(bad), "{text}: {err}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -173,6 +173,17 @@ fn bad_requests_are_rejected_with_typed_errors() {
         }
     ));
 
+    // Hostile params text is a typed error, not a worker panic.
+    for params in ["Policy = poll:-5", "CommStartupTime = NaN", "HopTime = inf"] {
+        let mut hostile = spec(&["embar"], &[1], "");
+        hostile.params = params.into();
+        let e = client.sweep(hostile).unwrap_err();
+        assert!(
+            matches!(e, ClientError::Server { code: ErrorCode::BadRequest, ref detail } if detail.starts_with("line 1: ")),
+            "{params}: got {e:?}"
+        );
+    }
+
     let e = client.simulate(extrap_proto::TraceId(999), "").unwrap_err();
     assert!(matches!(
         e,

@@ -2,13 +2,15 @@
 //! schedules, lane schedules (including lane times that go backwards and
 //! equal-time ties between the lane and the heap), dispatches and peeks
 //! must pop in exactly the order a naive sorted-vec reference model
-//! produces.
+//! produces.  Quiet tick chains, which the queue dispatches and
+//! fast-forwards itself, must leave exactly what popping and re-arming
+//! every tick one at a time leaves.
 //!
 //! Driven by a deterministic SplitMix64 case generator instead of
 //! `proptest` (crates.io is unreachable in the build environment).
 
 use extrap_sim::{Engine, SplitMix64};
-use extrap_time::TimeNs;
+use extrap_time::{DurationNs, TimeNs};
 
 const CASES: u64 = 64;
 const STEPS: usize = 400;
@@ -230,4 +232,272 @@ fn dispatch_order_is_stable_across_identical_runs() {
     };
     assert_eq!(run(0xDEAD), run(0xDEAD));
     assert_ne!(run(0xDEAD), run(0xBEEF), "different seeds diverge");
+}
+
+/// Payloads at or above this are ticks of chain `payload - TICK`.
+const TICK: u32 = 1 << 20;
+
+/// One pending entry of [`TickModel`].
+#[derive(Clone, Copy)]
+struct ModelEntry {
+    time: u64,
+    seq: u64,
+    payload: u32,
+    /// Appended to the lane (ticks only; a tick behind the lane's last
+    /// entry falls back to the heap, like in the engine).
+    in_lane: bool,
+}
+
+/// The reference model of tick chains: one flat store, and every quiet
+/// tick popped and re-armed one at a time, the way a caller of a plain
+/// queue would.
+#[derive(Default)]
+struct TickModel {
+    interval: u64,
+    now: u64,
+    next_seq: u64,
+    dispatched: u64,
+    pending: Vec<ModelEntry>,
+    /// Per chain: `(end, quiet)`.
+    chains: Vec<(u64, bool)>,
+}
+
+impl TickModel {
+    fn push(&mut self, time: u64, payload: u32, in_lane: bool) {
+        assert!(time >= self.now);
+        self.pending.push(ModelEntry {
+            time,
+            seq: self.next_seq,
+            payload,
+            in_lane,
+        });
+        self.next_seq += 1;
+    }
+
+    fn schedule(&mut self, at: u64, payload: u32) {
+        self.push(at, payload, false);
+    }
+
+    fn schedule_tick(&mut self, at: u64, chain: u32, end: u64) {
+        let lane_back = self
+            .pending
+            .iter()
+            .filter(|e| e.in_lane)
+            .map(|e| e.time)
+            .max();
+        let in_lane = lane_back.is_none_or(|back| at >= back);
+        self.chains[chain as usize] = (end, in_lane);
+        self.push(at, TICK + chain, in_lane);
+    }
+
+    fn wake(&mut self, chain: u32) {
+        self.chains[chain as usize].1 = false;
+    }
+
+    fn next(&mut self) -> Option<(u64, u32)> {
+        loop {
+            let i = (0..self.pending.len()).min_by_key(|&i| {
+                let e = &self.pending[i];
+                (e.time, e.seq)
+            })?;
+            let e = self.pending.remove(i);
+            self.now = e.time;
+            self.dispatched += 1;
+            if e.payload >= TICK && e.in_lane {
+                let chain = e.payload - TICK;
+                let (end, quiet) = self.chains[chain as usize];
+                if quiet {
+                    self.chains[chain as usize].1 = false;
+                    if e.time < end {
+                        let at = e.time + self.interval.min(end - e.time);
+                        self.schedule_tick(at, chain, end);
+                        continue;
+                    }
+                }
+            }
+            return Some((e.time, e.payload));
+        }
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.pending.iter().map(|e| e.time).min()
+    }
+}
+
+/// The engine and the tick model side by side: both get the same
+/// schedules, wakes and pops, and every tick handed back is answered
+/// the way the Poll policy's tick handler does.
+struct TickPair {
+    eng: Engine<u32>,
+    model: TickModel,
+    /// Per chain: the end of its running compute segment, if any.
+    active: Vec<Option<u64>>,
+    payload: u32,
+}
+
+impl TickPair {
+    fn new(interval: u64, chains: usize) -> TickPair {
+        let mut eng = Engine::new();
+        eng.set_tick_interval(DurationNs(interval));
+        TickPair {
+            eng,
+            model: TickModel {
+                interval,
+                chains: vec![(0, false); chains],
+                ..TickModel::default()
+            },
+            active: vec![None; chains],
+            payload: 0,
+        }
+    }
+
+    fn interval(&self) -> u64 {
+        self.model.interval
+    }
+
+    fn schedule(&mut self, at: u64) {
+        self.payload += 1;
+        self.eng.schedule(TimeNs(at), self.payload);
+        self.model.schedule(at, self.payload);
+    }
+
+    /// Starts chain `c`'s compute segment of length `d` at `start`.
+    fn start(&mut self, c: usize, start: u64, d: u64) {
+        let first = start + self.interval().min(d);
+        self.arm(c, first, start + d);
+    }
+
+    fn arm(&mut self, c: usize, at: u64, end: u64) {
+        self.active[c] = Some(end);
+        let payload = TICK + c as u32;
+        self.eng
+            .schedule_tick(TimeNs(at), payload, c as u32, TimeNs(end));
+        self.model.schedule_tick(at, c as u32, end);
+    }
+
+    fn wake(&mut self, c: usize) {
+        self.eng.wake(c as u32);
+        self.model.wake(c as u32);
+    }
+
+    /// Pops one event from both queues; they must agree on it, on the
+    /// clock and on the dispatch count.  A woken tick is serviced for
+    /// `service` and re-armed after it, as the Poll handler does.
+    fn pop(&mut self, service: u64) -> Option<(u64, u32)> {
+        let got = self.eng.next().map(|(t, p)| (t.as_ns(), p));
+        let want = self.model.next();
+        assert_eq!(got, want);
+        assert_eq!(self.eng.now().as_ns(), self.model.now);
+        assert_eq!(self.eng.dispatched(), self.model.dispatched);
+        let (t, payload) = want?;
+        if payload >= TICK {
+            let c = (payload - TICK) as usize;
+            let end = self.active[c].expect("tick of a running chain");
+            if t == end {
+                self.active[c] = None;
+            } else {
+                let at = t + service + self.interval().min(end - t);
+                self.arm(c, at, end + service);
+            }
+        }
+        Some((t, payload))
+    }
+}
+
+/// Random mixes of heap events and quiet or woken tick chains on an
+/// interval grid, so chains start together, ends and heap events land
+/// exactly on rotation boundaries, serviced ticks re-arm late (the lane
+/// then spans more than one interval) and wakes hit chains anywhere in
+/// the lane.  Every pop must match the one-tick-at-a-time model.
+fn tick_chains(rng: &mut SplitMix64) {
+    let interval = [1, 2, 4, 10][rng.next_below(4) as usize];
+    let chains = 1 + rng.next_below(12) as usize;
+    let mut d = TickPair::new(interval, chains);
+    // A duration that is often a whole number of intervals.
+    let span = |rng: &mut SplitMix64| match rng.next_below(3) {
+        0 => rng.next_below(4 * interval),
+        _ => interval * rng.next_below(60),
+    };
+    // The first grid instant (a multiple of the interval) at or after `t`.
+    let grid = |t: u64| t.div_ceil(interval) * interval;
+    for _ in 0..STEPS {
+        let now = d.model.now;
+        match rng.next_below(20) {
+            // Heap events: on the grid, whole rotations after a pending
+            // event, at the next pending instant, or anywhere.
+            0..=3 => {
+                let at = match rng.next_below(4) {
+                    0 => grid(now) + interval * rng.next_below(40),
+                    1 => match d.model.pending.len() as u64 {
+                        0 => now,
+                        n => {
+                            let e = d.model.pending[rng.next_below(n) as usize];
+                            e.time + interval * rng.next_below(8)
+                        }
+                    },
+                    2 => d.model.peek_time().unwrap_or(now),
+                    _ => now + span(rng),
+                };
+                d.schedule(at);
+            }
+            // Start idle chains, often several at the same instant and
+            // on the grid.
+            4..=7 => {
+                let start = match rng.next_below(3) {
+                    0 => now + rng.next_below(3 * interval),
+                    _ => grid(now),
+                };
+                let len = span(rng).max(1) + rng.next_below(2);
+                for c in 0..chains {
+                    if d.active[c].is_none() && rng.next_below(2) == 0 {
+                        d.start(c, start, len);
+                    }
+                }
+            }
+            // Wake one running chain, wherever its tick sits.
+            8..=9 => {
+                let c = rng.next_below(chains as u64) as usize;
+                if d.active[c].is_some() {
+                    d.wake(c);
+                }
+            }
+            // Pop; a woken tick is serviced for a random time.
+            10..=18 => {
+                let service = rng.next_below(2) * rng.next_below(3 * interval);
+                d.pop(service);
+            }
+            _ => {
+                assert_eq!(d.eng.len(), d.model.pending.len());
+                assert_eq!(d.eng.peek_time().map(TimeNs::as_ns), d.model.peek_time());
+            }
+        }
+    }
+    while d.pop(rng.next_below(2)).is_some() {}
+    assert!(d.eng.is_empty());
+    assert!(d.active.iter().all(Option::is_none));
+}
+
+#[test]
+fn tick_chains_match_the_one_tick_at_a_time_model() {
+    for_all(0x71C5, tick_chains);
+}
+
+#[test]
+fn quiet_rotations_are_fast_forwarded_exactly() {
+    // Eight chains start together at 0 and end together at 1000: with
+    // a heap event at 500 the queue must hand back exactly that event
+    // with the clock and count of 8 × 49 dispatched ticks before it,
+    // then the eight final ticks.
+    let mut d = TickPair::new(10, 8);
+    for c in 0..8 {
+        d.start(c, 0, 1_000);
+    }
+    d.schedule(500);
+    assert_eq!(d.pop(0), Some((500, 1)));
+    assert_eq!(d.eng.dispatched(), 8 * 49 + 1);
+    for c in 0..8 {
+        assert_eq!(d.pop(0), Some((1_000, TICK + c)));
+    }
+    assert_eq!(d.eng.dispatched(), 8 * 100 + 1);
+    assert_eq!(d.pop(0), None);
 }

@@ -69,6 +69,13 @@ impl TimeNs {
         )
     }
 
+    /// `self + d`, or `None` if the sum does not fit in `u64`
+    /// nanoseconds.
+    #[inline]
+    pub fn checked_add(self, d: DurationNs) -> Option<TimeNs> {
+        self.0.checked_add(d.0).map(TimeNs)
+    }
+
     /// Saturating difference: zero if `earlier` is later than `self`.
     #[inline]
     pub fn saturating_since(self, earlier: TimeNs) -> DurationNs {
@@ -100,6 +107,15 @@ impl DurationNs {
     #[inline]
     pub fn from_us(us: f64) -> DurationNs {
         DurationNs(us_to_ns(us))
+    }
+
+    /// Builds a duration from a microsecond quantity read from untrusted
+    /// input (config text, command-line flags): `None` if `us` is
+    /// negative, not finite, or too large for `u64` nanoseconds.
+    #[inline]
+    pub fn try_from_us(us: f64) -> Option<DurationNs> {
+        (us.is_finite() && us >= 0.0 && us * 1_000.0 < u64::MAX as f64)
+            .then(|| DurationNs::from_us(us))
     }
 
     /// Builds a duration from fractional seconds.

@@ -52,6 +52,15 @@ pub enum TraceError {
         /// Description of the violation.
         detail: String,
     },
+    /// A translated timestamp does not fit in `u64` nanoseconds: a
+    /// thread's measured deltas, added to a late barrier release, run
+    /// past the end of time (a corrupted or hostile trace).
+    TimeOverflow {
+        /// The thread whose translated clock overflowed.
+        thread: ThreadId,
+        /// Index of the offending record within the thread's trace.
+        record: usize,
+    },
     /// Binary or text format corruption.
     Format {
         /// Description of the corruption.
@@ -122,6 +131,10 @@ impl fmt::Display for TraceError {
             TraceError::BarrierProtocol { thread, detail } => {
                 write!(f, "barrier protocol violation in {thread}: {detail}")
             }
+            TraceError::TimeOverflow { thread, record } => write!(
+                f,
+                "translated time of {thread} overflows at record {record}"
+            ),
             TraceError::Format { detail } => write!(f, "malformed trace: {detail}"),
             TraceError::Validation { detail } => {
                 write!(f, "trace rejected by validation: {detail}")

@@ -68,8 +68,8 @@ struct Cursor {
 ///
 /// # Errors
 /// Returns an error if the trace is malformed, if threads disagree on the
-/// barrier sequence, or if barrier entry/exit events do not alternate
-/// properly.
+/// barrier sequence, if barrier entry/exit events do not alternate
+/// properly, or if a translated timestamp overflows.
 pub fn translate(trace: &ProgramTrace, options: TranslateOptions) -> Result<TraceSet, TraceError> {
     trace.validate()?;
     precheck_barriers(trace)?;
@@ -88,7 +88,7 @@ pub fn translate(trace: &ProgramTrace, options: TranslateOptions) -> Result<Trac
     let mut release: Option<TimeNs> = None;
     loop {
         let mut next_release: Option<TimeNs> = None;
-        for (records, c) in threads.iter_mut().zip(&mut cursors) {
+        for (t, (records, c)) in threads.iter_mut().zip(&mut cursors).enumerate() {
             if let Some(at) = release {
                 // The record after the barrier entry (its exit, after
                 // `precheck_barriers`) resumes at the release.
@@ -108,7 +108,12 @@ pub fn translate(trace: &ProgramTrace, options: TranslateOptions) -> Result<Trac
                     if c.after_reschedule {
                         delta = delta.saturating_sub(options.switch_overhead);
                     }
-                    c.adj_prev + delta
+                    c.adj_prev
+                        .checked_add(delta)
+                        .ok_or(TraceError::TimeOverflow {
+                            thread: ThreadId::from_index(t),
+                            record: c.next,
+                        })?
                 };
                 c.orig_prev = rec.time;
                 c.adj_prev = adjusted;
@@ -224,6 +229,44 @@ mod tests {
             p.push_uniform_phase(DurationNs(c));
         }
         p.record()
+    }
+
+    #[test]
+    fn timestamps_near_the_end_of_time_are_an_error() {
+        // T0 exits its barrier at 2, long before T1's entry near
+        // u64::MAX; T0's next delta, added to the late release,
+        // overflows.
+        let max = u64::MAX;
+        let b = BarrierId(0);
+        let rec = |time: u64, thread: u32, kind: EventKind| TraceRecord {
+            time: TimeNs(time),
+            thread: ThreadId(thread),
+            kind,
+        };
+        let pt = ProgramTrace {
+            n_threads: 2,
+            records: vec![
+                rec(0, 0, EventKind::ThreadBegin),
+                rec(1, 0, EventKind::BarrierEnter { barrier: b }),
+                rec(2, 0, EventKind::BarrierExit { barrier: b }),
+                rec(3, 1, EventKind::ThreadBegin),
+                rec(max - 1, 1, EventKind::BarrierEnter { barrier: b }),
+                rec(max, 0, EventKind::ThreadEnd),
+                rec(max, 1, EventKind::BarrierExit { barrier: b }),
+                rec(max, 1, EventKind::ThreadEnd),
+            ],
+        };
+        let err = translate(&pt, TranslateOptions::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TraceError::TimeOverflow {
+                    thread: ThreadId(0),
+                    record: 3
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
